@@ -13,6 +13,7 @@
 #include "core/classify.hpp"
 #include "core/report.hpp"
 #include "experiments/study.hpp"
+#include "obs/observer.hpp"
 #include "util/format.hpp"
 #include "web/catalog.hpp"
 #include "web/sitegen.hpp"
@@ -28,12 +29,37 @@ struct RunResult {
   har::ImportStats har_stats;
 };
 
+/// Splits connections by protocol and aggregates the exact model.
+class H3Observer final : public obs::Observer {
+ public:
+  explicit H3Observer(RunResult& result) : result_(&result) {}
+
+  void site(unsigned /*worker*/, browser::SiteResult& site) override {
+    if (!site.reachable) return;
+    for (const auto& conn : site.netlog_observation.connections) {
+      if (conn.protocol == "h3") {
+        ++result_->h3_connections;
+      } else {
+        ++result_->h2_connections;
+      }
+    }
+    agg.add_site(site.netlog_observation,
+                 core::classify_site(site.netlog_observation,
+                                     {core::DurationModel::kExact}));
+  }
+
+  core::Aggregator agg;
+
+ private:
+  RunResult* result_;
+};
+
 RunResult run(bool enable_http3, std::size_t sites, std::uint64_t seed) {
   web::Ecosystem eco{seed};
   web::ServiceCatalog catalog{eco, seed};
   web::UniverseConfig config = web::UniverseConfig::defaults();
   config.seed = seed;
-  web::SiteUniverse universe{eco, catalog, config};
+  const web::SiteUniverse universe{eco, catalog, config};
 
   browser::CrawlOptions crawl;
   crawl.browser.enable_http3 = enable_http3;
@@ -42,26 +68,10 @@ RunResult run(bool enable_http3, std::size_t sites, std::uint64_t seed) {
   crawl.har_quirks = har::ExportQuirks::none();  // isolate the h3 effect
 
   RunResult result;
-  core::Aggregator agg;
-  result.har_stats = browser::crawl_range(
-                         universe, 0, sites, crawl,
-                         [&](const browser::SiteResult& site) {
-                           if (!site.reachable) return;
-                           for (const auto& conn :
-                                site.netlog_observation.connections) {
-                             if (conn.protocol == "h3") {
-                               ++result.h3_connections;
-                             } else {
-                               ++result.h2_connections;
-                             }
-                           }
-                           agg.add_site(site.netlog_observation,
-                                        core::classify_site(
-                                            site.netlog_observation,
-                                            {core::DurationModel::kExact}));
-                         })
-                         .har_stats;
-  result.report = agg.report();
+  H3Observer observer{result};  // one worker: no shards needed
+  crawl.observer = &observer;
+  result.har_stats = browser::crawl(universe, 0, sites, crawl).har_stats;
+  result.report = observer.agg.report();
   return result;
 }
 

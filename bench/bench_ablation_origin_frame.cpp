@@ -17,6 +17,7 @@
 #include "core/classify.hpp"
 #include "core/policy.hpp"
 #include "experiments/study.hpp"
+#include "obs/observer.hpp"
 #include "util/format.hpp"
 #include "web/catalog.hpp"
 #include "web/sitegen.hpp"
@@ -36,6 +37,24 @@ struct Tally {
     total_connections += cls.total_connections;
     redundant_connections += cls.redundant_connections();
   }
+};
+
+/// Each site classified twice from one prepare(): as Chromium saw it and
+/// replayed with ORIGIN frames honored.
+class OriginObserver final : public obs::Observer {
+ public:
+  void site(unsigned /*worker*/, browser::SiteResult& site) override {
+    if (!site.reachable) return;
+    ctx_.prepare(site.netlog_observation);
+    off.add(ctx_.classify({core::DurationModel::kExact}));
+    on.add(ctx_.classify(core::Policy::with_mask(core::kKnobOriginFrame)));
+  }
+
+  Tally off;
+  Tally on;
+
+ private:
+  core::ClassifyContext ctx_;
 };
 
 }  // namespace
@@ -61,18 +80,11 @@ int main() {
   crawl.browser.vantage_region = "eu";
   crawl.seed = sc.seed + 1;
 
-  Tally off;
-  Tally on;
-  core::ClassifyContext ctx;
-  const core::Policy origin = core::Policy::with_mask(core::kKnobOriginFrame);
-  browser::crawl_range(universe, 0, sites, crawl,
-                       [&](const browser::SiteResult& site) {
-                         if (!site.reachable) return;
-                         const auto& obs = site.netlog_observation;
-                         ctx.prepare(obs);
-                         off.add(ctx.classify({core::DurationModel::kExact}));
-                         on.add(ctx.classify(origin));
-                       });
+  OriginObserver observer;  // one worker: sites arrive in rank order
+  crawl.observer = &observer;
+  browser::crawl(universe, 0, sites, crawl);
+  const Tally& off = observer.off;
+  const Tally& on = observer.on;
 
   auto row = [](const char* name, const Tally& r) {
     std::printf("%-24s conns %-9s redundant %-9s (%s)\n", name,

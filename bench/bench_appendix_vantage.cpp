@@ -14,6 +14,7 @@
 #include "core/classify.hpp"
 #include "core/report.hpp"
 #include "experiments/study.hpp"
+#include "obs/observer.hpp"
 #include "stats/distribution.hpp"
 #include "stats/table.hpp"
 #include "util/format.hpp"
@@ -24,7 +25,20 @@ using namespace h2r;
 
 namespace {
 
-core::AggregateReport crawl_from(web::SiteUniverse& universe,
+/// Exact-model aggregate over every reachable site of a crawl.
+class AggregateObserver final : public obs::Observer {
+ public:
+  void site(unsigned /*worker*/, browser::SiteResult& site) override {
+    if (!site.reachable) return;
+    agg.add_site(site.netlog_observation,
+                 core::classify_site(site.netlog_observation,
+                                     {core::DurationModel::kExact}));
+  }
+
+  core::Aggregator agg;
+};
+
+core::AggregateReport crawl_from(const web::SiteUniverse& universe,
                                  std::size_t vantage_index,
                                  const char* region, std::size_t sites,
                                  std::uint64_t seed) {
@@ -32,16 +46,10 @@ core::AggregateReport crawl_from(web::SiteUniverse& universe,
   crawl.vantage_index = vantage_index;
   crawl.browser.vantage_region = region;
   crawl.seed = seed;
-  core::Aggregator agg;
-  browser::crawl_range(universe, 0, sites, crawl,
-                       [&](const browser::SiteResult& site) {
-                         if (!site.reachable) return;
-                         agg.add_site(site.netlog_observation,
-                                      core::classify_site(
-                                          site.netlog_observation,
-                                          {core::DurationModel::kExact}));
-                       });
-  return agg.report();
+  AggregateObserver observer;  // one worker: no shards needed
+  crawl.observer = &observer;
+  browser::crawl(universe, 0, sites, crawl);
+  return observer.agg.report();
 }
 
 std::vector<double> ranking_vector(const core::AggregateReport& report,

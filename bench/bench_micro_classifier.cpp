@@ -78,7 +78,7 @@ void BM_ClassifySite(benchmark::State& state) {
 BENCHMARK(BM_ClassifySite)->Arg(8)->Arg(24)->Arg(64);
 
 // The model-independent half of the hot path: lowering, interning, SAN
-// matching and exclusion tests, all materialized into the SoA
+// matching and exclusion tests, all laid out in the SoA
 // ConnectionTable once per site.
 void BM_TableBuild(benchmark::State& state) {
   const core::SiteObservation site =
@@ -149,7 +149,7 @@ void BM_PageLoad(benchmark::State& state) {
   dns::RecursiveResolver resolver{dns::standard_vantage_points()[0],
                                   &eco.authority()};
   browser::Browser chrome{eco, resolver, browser::BrowserOptions{}, 5};
-  const web::Website& site = universe.site(1);
+  const web::Website site = universe.generate_site(1);
   util::SimTime now = util::days(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(chrome.load(site, now));

@@ -3,10 +3,9 @@
 //
 // Unlike the table benches this does NOT run the three-campaign study — it
 // measures the crawl layer itself, which is the layer the bounded-memory
-// claim is about: with CrawlOptions::stream every worker regenerates sites
-// through a bounded LRU instead of materializing the whole population, and
-// the per-worker aggregates are histogram-budgeted, so peak memory is
-// independent of the site count.
+// claim is about: every crawl worker regenerates each site from (seed,
+// rank) and holds none beyond its page load, and the per-worker aggregates
+// are histogram-budgeted, so peak memory is independent of the site count.
 //
 //   bench_scale_sites [--sites N]... [--threads N] [--json <out>]
 //
@@ -19,8 +18,8 @@
 //
 // Timing comes from the crawl's own diagnostic wall clock
 // (CrawlSummary::wall_ms); RSS from obs::peak_rss_kib(). Both are
-// machine-dependent diagnostics — the measured study aggregates stay
-// bit-identical to a materialized run regardless.
+// machine-dependent diagnostics — the measured aggregates stay
+// bit-identical for every thread count regardless.
 
 #include <algorithm>
 #include <cstdio>
@@ -35,6 +34,7 @@
 #include "core/classify.hpp"
 #include "core/report.hpp"
 #include "json/json.hpp"
+#include "obs/observer.hpp"
 #include "obs/process.hpp"
 #include "util/env.hpp"
 #include "util/format.hpp"
@@ -55,8 +55,40 @@ struct ScalePoint {
   std::uint64_t peak_rss_kib = 0;  // process high-water mark AFTER this scale
 };
 
-/// One streaming crawl over ranks [0, sites): fresh universe, per-worker
-/// budgeted aggregators, no journaling. Returns the measured point.
+/// Per-worker budgeted aggregators, merged after the crawl.
+class ScaleObserver final : public obs::Observer {
+ public:
+  ScaleObserver(const asdb::AsDatabase* as_db, std::uint32_t hist_budget)
+      : as_db_(as_db), hist_budget_(hist_budget) {}
+
+  void begin(unsigned workers) override {
+    while (shards_.size() < workers) {
+      shards_.push_back(
+          std::make_unique<core::Aggregator>(as_db_, hist_budget_));
+    }
+  }
+
+  void site(unsigned worker, browser::SiteResult& site) override {
+    if (!site.reachable) return;
+    const auto& obs = site.netlog_observation;
+    shards_[worker]->add_site(
+        obs, core::classify_site(obs, {core::DurationModel::kExact}));
+  }
+
+  core::AggregateReport merged() const {
+    core::AggregateReport report;
+    for (const auto& shard : shards_) report.merge(shard->report());
+    return report;
+  }
+
+ private:
+  const asdb::AsDatabase* as_db_;
+  std::uint32_t hist_budget_;
+  std::vector<std::unique_ptr<core::Aggregator>> shards_;
+};
+
+/// One crawl over ranks [0, sites): fresh universe, per-worker budgeted
+/// aggregators, no journaling. Returns the measured point.
 ScalePoint run_scale(std::size_t sites, unsigned threads,
                      std::uint32_t hist_budget) {
   const std::uint64_t seed = 42;
@@ -66,7 +98,7 @@ ScalePoint run_scale(std::size_t sites, unsigned threads,
   universe_config.seed = seed;
   universe_config.top_rank = std::max<std::size_t>(sites / 2, 1);
   universe_config.tail_rank = std::max<std::size_t>(sites, 2);
-  web::SiteUniverse universe{eco, catalog, universe_config};
+  const web::SiteUniverse universe{eco, catalog, universe_config};
 
   browser::CrawlOptions crawl;
   crawl.browser.follow_fetch_credentials = true;
@@ -74,28 +106,13 @@ ScalePoint run_scale(std::size_t sites, unsigned threads,
   crawl.seed = seed + 1;
   crawl.threads = threads;
   crawl.har_path = false;
-  crawl.stream = true;
-
-  const asdb::AsDatabase* as_db = &eco.as_database();
-  std::vector<std::unique_ptr<core::Aggregator>> shards;
-  auto make_sink = [&](unsigned worker) -> browser::ShardSink {
-    while (shards.size() <= worker) {
-      shards.push_back(std::make_unique<core::Aggregator>(as_db, hist_budget));
-    }
-    core::Aggregator* shard = shards[worker].get();
-    return [shard](const browser::SiteResult& site) {
-      if (!site.reachable) return;
-      const auto& obs = site.netlog_observation;
-      shard->add_site(obs,
-                      core::classify_site(obs, {core::DurationModel::kExact}));
-    };
-  };
+  ScaleObserver observer{&eco.as_database(), hist_budget};
+  crawl.observer = &observer;
 
   const browser::CrawlSummary summary =
-      browser::crawl_range_sharded(universe, 0, sites, crawl, make_sink);
+      browser::crawl(universe, 0, sites, crawl);
+  const core::AggregateReport report = observer.merged();
 
-  core::AggregateReport report;
-  for (const auto& shard : shards) report.merge(shard->report());
 
   ScalePoint point;
   point.sites = sites;

@@ -207,7 +207,7 @@ class Browser {
       }
       return nullptr;
     }
-    /// Find-or-insert; the GroupKey (host copy) only materializes on miss.
+    /// Find-or-insert; the GroupKey (host copy) is only built on miss.
     std::size_t& group_slot(const std::string& host, bool privacy) {
       if (std::size_t* hit = find_group(host, privacy)) return *hit;
       return groups.emplace_back(GroupKey{host, 443, privacy}, 0).second;
@@ -238,7 +238,7 @@ class Browser {
   util::SimTime rtt_to(const net::IpAddress& address) const;
 
   /// The server at `address`: the active site's deployment overlay first
-  /// (streaming sites own their cluster), then the shared ecosystem.
+  /// (generated sites own their cluster), then the shared ecosystem.
   const web::Server* server_at(const net::IpAddress& address) const noexcept;
 
   dns::Resolution resolve(PageState& page, const std::string& host,

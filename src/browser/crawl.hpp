@@ -1,12 +1,13 @@
-// Crawl driver: visits a rank range of the site universe with one browser
-// and one recursive resolver, producing per-site observations for both
-// measurement paths:
+// Crawl driver: visits a rank range of the site universe, producing
+// per-site observations for both measurement paths:
 //   * the NetLog path (exact lifecycles, the paper's own measurements),
 //   * the HAR path (export with HTTP-Archive-grade noise, import through
 //     the §4.3 filters — the paper's HTTP Archive analysis).
 //
-// Parallel crawls use a chunked atomic work queue with N workers, each
-// behind its own browser and recursive resolver. Every per-site input is
+// Every crawl runs one worker loop: N >= 1 workers, each behind its own
+// browser and recursive resolver, claim chunks from an atomic work queue
+// and regenerate each site from (universe seed, rank) — no site is held
+// beyond its own page load. Every per-site input is
 // derived from (seed, site) alone — per-page RNG, HAR quirk RNG, resolver
 // cache state and the simulated load time — so the observations are
 // independent of which worker loads which site and of the thread count:
@@ -16,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -42,41 +42,28 @@ struct CrawlOptions {
   bool har_path = false;
   har::ExportQuirks har_quirks;
   std::uint64_t seed = 1234;
-  /// Worker threads for page loads. 1 = fully sequential. With N > 1 the
-  /// sites are materialized sequentially first (generation mutates the
-  /// shared ecosystem), then loaded by N workers pulling chunks from an
-  /// atomic work queue, each worker with its own browser and recursive
-  /// resolver. Each site is measured like a fresh machine (cold resolver
-  /// cache, per-site RNG, deterministic load time), so results are
-  /// IDENTICAL for every thread count; `sink` still runs in rank order on
-  /// the calling thread.
+  /// Workers for page loads (worker 0 on the calling thread, the rest
+  /// on threads of their own), each with its own browser and recursive
+  /// resolver, pulling chunks from an atomic work queue and regenerating
+  /// every site from (universe seed, rank). Each site is
+  /// measured like a fresh machine (cold resolver cache, per-site RNG,
+  /// deterministic load time), so results are IDENTICAL for every thread
+  /// count. One worker claims its chunks in ascending order, so its
+  /// site() calls arrive in rank order.
   unsigned threads = 1;
   /// The one observation interface of the crawl: per-worker metric
   /// shards, per-site results, chunk checkpoints (see obs::Observer for
   /// the threading contract). Not owned; null = observe nothing.
   obs::Observer* observer = nullptr;
-  /// Chunked mode only: the RELATIVE indices into [0, count) still to
-  /// crawl, sorted ascending (a resumed study passes the complement of
-  /// its journaled ranks). Null = all of [0, count). Each target keeps
-  /// its original index-derived load time, so a resumed crawl reproduces
-  /// the uninterrupted observations bit-for-bit.
+  /// The RELATIVE indices into [0, count) to crawl, sorted ascending (a
+  /// resumed study passes the complement of its journaled ranks). Null =
+  /// all of [0, count). Each target keeps its original index-derived load
+  /// time, so a resumed crawl reproduces the uninterrupted observations
+  /// bit-for-bit.
   const std::vector<std::size_t>* targets = nullptr;
-  /// Chunked mode (crash-safe studies): always run the worker pool (even
-  /// for threads = 1, so journaling behaves uniformly) and report each
-  /// drained work-queue chunk to Observer::chunk with the chunk's
-  /// absolute rank runs and counters.
-  bool chunked = false;
-  /// Streaming mode: skip the up-front materialization of the rank range
-  /// and let every worker regenerate its sites on demand through a
-  /// bounded per-worker SiteCache — O(threads * site_cache) resident
-  /// sites instead of O(count), which is what makes million-site crawls
-  /// fit in bounded memory. Generation is a pure function of (universe
-  /// seed, rank), so a streaming crawl is bit-identical to a materialized
-  /// one: both run the same generator, streaming merely forgets.
+  /// No effect; every crawl streams. Kept only because the frozen
+  /// benchmark harness `h2bench/` assigns it.
   bool stream = false;
-  /// Streaming mode: per-worker site-LRU capacity (0 = unbounded). 64
-  /// covers the reorder window of a chunked crawl comfortably.
-  std::size_t site_cache = 64;
 };
 
 struct SiteResult {
@@ -123,8 +110,7 @@ struct CrawlSummary {
   // contract: exclude(eq, codec) -- scheduling diagnostic: which worker
   // claimed which chunk is timing-dependent; merge still concatenates it
   std::vector<WorkerCounters> per_worker;
-  /// Wall time of the whole crawl_range call, including materialization
-  /// and the ordered sink drain. Diagnostics only.
+  /// Wall time of the whole crawl() call. Diagnostics only.
   // contract: diagnostic -- real-clock reading, quarantined from the
   // determinism contract (not merged, compared, or checkpointed)
   double wall_ms = 0.0;
@@ -138,49 +124,10 @@ struct CrawlSummary {
   bool operator==(const CrawlSummary& other) const;
 };
 
-/// THE crawl entry point: visits ranks [first_rank, first_rank + count)
-/// (or the subset in options.targets when options.chunked), reporting
-/// every observation channel through options.observer — metric shards
-/// before the workers start, per-site results on the worker threads,
-/// chunk checkpoints in chunked mode. The sink/targets/chunk parameters
-/// the three legacy entry points below took now live on CrawlOptions;
-/// those entry points are thin wrappers over this one.
-CrawlSummary crawl(web::SiteUniverse& universe, std::size_t first_rank,
-                   std::size_t count, const CrawlOptions& options);
-
-/// DEPRECATED wrapper over crawl(): visits ranks in order, invoking
-/// `sink` per site (reachable or not) on the calling thread, in rank
-/// order (a reorder buffer bridges claim order to rank order). New code
-/// should implement obs::Observer and call crawl() — worker-sharded
-/// delivery needs no buffering.
-CrawlSummary crawl_range(web::SiteUniverse& universe, std::size_t first_rank,
-                         std::size_t count, const CrawlOptions& options,
-                         const std::function<void(const SiteResult&)>& sink);
-
-/// Per-worker shard consumer: built once per worker by the factory below,
-/// then invoked from that worker's thread for every site it loads (in the
-/// order the worker claims them — NOT rank order).
-using ShardSink = std::function<void(const SiteResult&)>;
-
-/// DEPRECATED wrapper over crawl() (an Observer's begin()/site() hooks
-/// are exactly this factory contract).
-/// Worker-sharded crawl: `make_shard_sink(worker)` is called on the
-/// calling thread for worker ids [0, threads) before the workers start;
-/// each returned sink then consumes that worker's sites concurrently with
-/// the other workers. Callers keep per-worker partial aggregates and
-/// merge them afterwards (AggregateReport::merge / CrawlSummary::merge) —
-/// merging is order-independent, so the result equals a sequential crawl.
-/// Unlike crawl_range, no per-site buffering is needed, and per-site
-/// post-processing (classification, aggregation) runs inside the workers.
-CrawlSummary crawl_range_sharded(
-    web::SiteUniverse& universe, std::size_t first_rank, std::size_t count,
-    const CrawlOptions& options,
-    const std::function<ShardSink(unsigned worker)>& make_shard_sink);
-
-/// One completed work-queue chunk, reported to a ChunkSink on the worker
-/// thread right after the chunk's last site. The checkpoint layer
+/// One completed work-queue chunk, reported to Observer::chunk on the
+/// worker thread right after the chunk's last site. The checkpoint layer
 /// serializes these into the crash journal: everything append()ed for a
-/// chunk the sink has seen is recoverable after a kill.
+/// chunk the observer has seen is recoverable after a kill.
 struct ChunkEvent {
   unsigned worker = 0;
   /// Absolute (first_rank, count) runs the chunk covered, in crawl order.
@@ -191,25 +138,14 @@ struct ChunkEvent {
   CrawlSummary summary;
 };
 
-using ChunkSink = std::function<void(const ChunkEvent&)>;
-
-/// DEPRECATED wrapper over crawl() with options.chunked/targets set and
-/// the sinks bridged onto an Observer.
-/// Checkpointed variant of crawl_range_sharded for crash-safe studies.
-/// `targets` lists the RELATIVE indices (into [0, count)) still to crawl,
-/// sorted ascending — a fresh run passes all of them, a resumed run the
-/// complement of the journaled ranks. Each target keeps its original
-/// index-derived load time, so a resumed crawl reproduces the
-/// uninterrupted observations bit-for-bit. After a worker drains one
-/// work-queue chunk, `chunk_sink` runs on that worker's thread with the
-/// chunk's ranges and counters; the caller journals its chunk-local
-/// aggregates there. Runs the worker pool even for threads = 1 so
-/// chunking (and thus journaling) behaves uniformly.
-CrawlSummary crawl_range_checkpointed(
-    web::SiteUniverse& universe, std::size_t first_rank, std::size_t count,
-    const CrawlOptions& options,
-    const std::function<ShardSink(unsigned worker)>& make_shard_sink,
-    const std::vector<std::size_t>& targets, const ChunkSink& chunk_sink);
+/// THE crawl entry point: visits ranks [first_rank, first_rank + count)
+/// (or the subset in options.targets), reporting every observation
+/// channel through options.observer — metric shards before the workers
+/// start, per-site results and chunk checkpoints on the worker threads.
+/// A caller that needs results in rank order stores what it keeps at
+/// `result.rank - first_rank` and reads it after crawl() returns.
+CrawlSummary crawl(const web::SiteUniverse& universe, std::size_t first_rank,
+                   std::size_t count, const CrawlOptions& options);
 
 /// Renders the per-worker counters of a crawl as a compact multi-line
 /// text block ("worker 0: 812 sites, 5.3k conns, ..."), for tools/h2r and

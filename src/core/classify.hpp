@@ -79,10 +79,6 @@ struct SiteClassification {
   }
 };
 
-/// Deprecated name from before the policy redesign; new code should spell
-/// out core::Policy (h2r-lint's policy.alias rule flags this alias).
-using ClassifyOptions = Policy;  // h2r-lint: allow(policy.alias) -- alias definition
-
 /// Reusable per-worker classification state: an arena for site-scoped
 /// scratch, a deterministic interner for domains/SANs, and the SoA
 /// ConnectionTable the sweep iterates. prepare() builds the table once
@@ -92,8 +88,8 @@ using ClassifyOptions = Policy;  // h2r-lint: allow(policy.alias) -- alias defin
 ///
 /// Results are byte-identical to classify_site() — the free function is
 /// now a thin wrapper over a thread-local context, and every id the
-/// context assigns stays internal (findings materialize interned
-/// STRINGS, never ids — DESIGN §12).
+/// context assigns stays internal (findings carry interned STRINGS,
+/// never ids — DESIGN §12).
 ///
 /// Not thread-safe; one context per worker.
 class ClassifyContext {

@@ -18,7 +18,7 @@
 //
 // Columns are allocated from a per-worker util::Arena (reset per site);
 // the table holds no owning pointers into the observation it was built
-// from except through the Interner, so output materialization always
+// from except through the Interner, so every output string always
 // goes ids -> interned string -> ordinary heap string (ids never appear
 // in serialized output — DESIGN §12).
 #pragma once

@@ -12,7 +12,7 @@
 //   * ids are a pure function of the sequence of distinct strings a
 //     worker interns — no hashing order, no pointer order leaks in;
 //   * ids NEVER appear in serialized output: findings, reports and
-//     journal frames always materialize the interned string itself, so
+//     journal frames always carry the interned string itself, so
 //     per-worker id spaces cannot make output depend on thread count;
 //   * when shards must be combined id-wise, CanonicalRemap builds a
 //     shard-count-independent canonical id space (lexicographic over the
@@ -43,7 +43,7 @@ class Interner {
   std::uint32_t intern(std::string_view s);
 
   /// Id of the ASCII-lowercase of `s` (the classifier's host folding),
-  /// without materializing a lowered copy when `s` is already lowercase.
+  /// without building a lowered copy when `s` is already lowercase.
   std::uint32_t intern_lower(std::string_view s);
 
   /// Id of `s` if already interned, kNpos otherwise. Never inserts.

@@ -10,7 +10,8 @@
 
 namespace h2r::core {
 
-/// Untruncated `top_n` for to_json: every attribution row is emitted.
+/// Untruncated `top_n` for report_to_json: every attribution row is
+/// emitted.
 inline constexpr std::size_t kAllRows = static_cast<std::size_t>(-1);
 
 /// How much of an AggregateReport the serializer keeps.
@@ -34,24 +35,11 @@ struct ReportJsonOptions {
   std::size_t top_n = 20;
 };
 
-/// THE aggregate-report serializer; the two shapes of the old to_json /
-/// to_json_full pair are selected by options.fidelity and preserved byte
-/// for byte (both names forward here).
+/// THE aggregate-report serializer; options.fidelity selects the shape.
 json::Value report_to_json(const AggregateReport& report,
                            const ReportJsonOptions& options = {});
 
-/// Truncated shape (Fidelity::kTruncated with `top_n` rows per table).
-inline json::Value to_json(const AggregateReport& report,
-                           std::size_t top_n = 20) {
-  return report_to_json(report, {Fidelity::kTruncated, top_n});
-}
-
-/// Lossless journal shape (Fidelity::kFull).
-inline json::Value to_json_full(const AggregateReport& report) {
-  return report_to_json(report, {Fidelity::kFull, kAllRows});
-}
-
-/// Strict parser for to_json_full output. Rejects malformed documents:
+/// Strict parser for the Fidelity::kFull shape. Rejects malformed documents:
 /// missing/mistyped fields, non-integer or negative counters (doubles and
 /// NaN included), unknown cause names.
 util::Expected<AggregateReport> report_from_json(const json::Value& value);

@@ -1,9 +1,7 @@
 #include "experiments/study.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -15,7 +13,7 @@
 #include "core/classify.hpp"
 #include "journal/checkpoint.hpp"
 #include "journal/journal.hpp"
-#include "journal/spill.hpp"
+#include "journal/window.hpp"
 #include "obs/process.hpp"
 #include "util/env.hpp"
 #include "web/catalog.hpp"
@@ -26,50 +24,145 @@ namespace h2r::experiments {
 
 namespace {
 
-/// The observer each campaign hands to crawl(): bridges the campaign's
-/// per-worker aggregator sinks and (when journaling) its chunk
-/// checkpointer onto the one Observer interface, and owns the campaign's
-/// metric shards. begin()/metrics() run on the campaign thread before
-/// the crawl workers spawn, so sink construction and shard allocation
-/// never race with use.
-class CampaignObserver final : public obs::Observer {
- public:
-  using MakeSink = std::function<browser::ShardSink(unsigned)>;
+/// One report a campaign aggregates: its checkpoint name, the duration
+/// model it classifies under, whether only sites in the overlap of the
+/// two populations feed it, and the StudyResults field it lands in.
+struct ReportSpec {
+  const char* name;
+  core::DurationModel model;
+  bool overlap_only;
+  core::AggregateReport StudyResults::*field;
+};
 
-  CampaignObserver(MakeSink make_sink, browser::ChunkSink chunk_sink,
-                   std::uint32_t hist_budget)
-      : make_sink_(std::move(make_sink)),
-        chunk_sink_(std::move(chunk_sink)) {
-    registry_.set_histogram_budget(hist_budget);
+/// One of the paper's three campaigns: the crawl options that set it
+/// apart, the observation it classifies, and the reports it feeds.
+struct CampaignSpec {
+  const char* name;
+  /// Config switch that enables the campaign; null = always runs.
+  bool StudyConfig::*enabled;
+  bool follow_fetch_credentials;
+  const char* region;
+  std::size_t vantage_index;
+  std::uint64_t seed_offset;
+  util::SimTime start_time;
+  /// Crawl the HAR population and classify the HAR-path observation
+  /// (export + filtered re-import) instead of the Alexa population's
+  /// NetLog observation. Only this campaign counts overlap sites.
+  bool har_path;
+  /// Checkpoint order: the journal's report order per campaign.
+  std::vector<ReportSpec> reports;
+  browser::CrawlSummary StudyResults::*summary;
+};
+
+const std::vector<CampaignSpec>& campaign_specs() {
+  using core::DurationModel;
+  static const std::vector<CampaignSpec> specs = {
+      // Alexa-like crawl from the university resolver (EU). The paper's
+      // overlap tables use the endless model on both datasets.
+      {"alexa", nullptr, true, "eu", 0, 1, util::days(1), false,
+       {{"exact", DurationModel::kExact, false, &StudyResults::alexa_exact},
+        {"endless", DurationModel::kEndless, false,
+         &StudyResults::alexa_endless},
+        {"overlap", DurationModel::kEndless, true,
+         &StudyResults::overlap_alexa_endless}},
+       &StudyResults::alexa_summary},
+      // The same crawl with Fetch credentials ignored (patched Chromium),
+      // measured ~days later: different DNS LB slots.
+      {"nofetch", &StudyConfig::run_no_fetch, false, "eu", 0, 2,
+       util::days(4), false,
+       {{"exact", DurationModel::kExact, false, &StudyResults::nofetch_exact}},
+       &StudyResults::nofetch_summary},
+      // HTTP-Archive-like crawl from the US vantage point, HAR path.
+      {"har", &StudyConfig::run_har, true, "us", 12, 3, util::days(8), true,
+       {{"endless", DurationModel::kEndless, false,
+         &StudyResults::har_endless},
+        {"immediate", DurationModel::kImmediate, false,
+         &StudyResults::har_immediate},
+        {"overlap", DurationModel::kEndless, true,
+         &StudyResults::overlap_har_endless}},
+       &StudyResults::har_summary},
+  };
+  return specs;
+}
+
+/// Rank span one campaign crawls, for validating journaled chunks.
+struct CampaignSpan {
+  std::size_t first_rank = 0;
+  std::size_t count = 0;
+};
+
+/// Half-open rank range present in both populations (Tables 7-10).
+struct OverlapRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  bool contains(std::size_t rank) const {
+    return rank >= begin && rank < end;
   }
+};
 
-  void begin(unsigned workers) override {
-    for (unsigned t = static_cast<unsigned>(sinks_.size()); t < workers;
-         ++t) {
-      sinks_.push_back(make_sink_(t));
-      (void)registry_.shard(t);  // materialize before the workers start
+/// One crawl worker's window for one campaign: one aggregator per report
+/// and one classification context. Per site there is exactly one
+/// prepare() and one classify() per distinct duration model — the
+/// overlap report reuses the endless classification (the classifier is
+/// a pure function).
+class CampaignShard final : public journal::WindowShard {
+ public:
+  CampaignShard(const CampaignSpec& spec, const asdb::AsDatabase* as_db,
+                std::uint32_t hist_budget, OverlapRange overlap)
+      : spec_(&spec),
+        as_db_(as_db),
+        hist_budget_(hist_budget),
+        overlap_(overlap) {
+    aggregators_.reserve(spec.reports.size());
+    for (std::size_t r = 0; r < spec.reports.size(); ++r) {
+      aggregators_.emplace_back(as_db_, hist_budget_);
     }
   }
 
-  obs::Metrics* metrics(unsigned worker) override {
-    return &registry_.shard(worker);
+  void add(const browser::SiteResult& site) override {
+    if (!site.reachable) return;
+    const core::SiteObservation& obs =
+        spec_->har_path ? site.har_observation : site.netlog_observation;
+    classify_.prepare(obs);
+    const bool overlap = overlap_.contains(site.rank);
+    if (overlap && spec_->har_path) ++overlap_sites_;
+    classified_.clear();
+    for (std::size_t r = 0; r < spec_->reports.size(); ++r) {
+      const ReportSpec& report = spec_->reports[r];
+      if (report.overlap_only && !overlap) continue;
+      aggregators_[r].add_site(obs, classification(report.model));
+    }
   }
 
-  void site(unsigned worker, browser::SiteResult& result) override {
-    sinks_[worker](result);
+  void flush(journal::ChunkCheckpoint& checkpoint) override {
+    for (std::size_t r = 0; r < spec_->reports.size(); ++r) {
+      checkpoint.reports.emplace_back(spec_->reports[r].name,
+                                      aggregators_[r].report());
+      aggregators_[r] = core::Aggregator(as_db_, hist_budget_);
+    }
+    checkpoint.overlap_sites = overlap_sites_;
+    overlap_sites_ = 0;
   }
-
-  void chunk(const browser::ChunkEvent& event) override {
-    if (chunk_sink_) chunk_sink_(event);
-  }
-
-  obs::Metrics merged() const { return registry_.merged(); }
 
  private:
-  MakeSink make_sink_;
-  browser::ChunkSink chunk_sink_;
-  std::vector<browser::ShardSink> sinks_;
-  obs::MetricRegistry registry_;
+  /// The prepared site's classification under `model`, computed once.
+  const core::SiteClassification& classification(core::DurationModel model) {
+    for (const auto& [done, cls] : classified_) {
+      if (done == model) return cls;
+    }
+    classified_.emplace_back(model, classify_.classify({model}));
+    return classified_.back().second;
+  }
+
+  const CampaignSpec* spec_;
+  const asdb::AsDatabase* as_db_;
+  std::uint32_t hist_budget_;
+  OverlapRange overlap_;
+  std::vector<core::Aggregator> aggregators_;  // parallel to spec reports
+  core::ClassifyContext classify_;
+  std::vector<std::pair<core::DurationModel, core::SiteClassification>>
+      classified_;  // this site's classifications, by model
+  std::uint64_t overlap_sites_ = 0;
 };
 
 /// Runs one campaign body, capturing any exception for rethrow on the
@@ -96,20 +189,19 @@ class Campaign {
   std::thread thread_;
 };
 
-/// Deterministic digest of the materialized universe: sampled site URLs
+/// Deterministic digest of the universe: sampled site URLs
 /// (plus unreachability markers) pin the seed AND the site generator
 /// version, so a resume against a journal from a different world fails
 /// the fingerprint check instead of silently mixing observations.
-std::uint32_t universe_digest(web::SiteUniverse& universe,
+std::uint32_t universe_digest(const web::SiteUniverse& universe,
                               const StudyConfig& config) {
   std::string sample;
   auto add_rank = [&](std::size_t rank) {
     if (universe.unreachable(rank)) {
       sample += '-';
     } else {
-      // Pure regeneration: the digest must not materialize anything (a
-      // streaming study samples millions of ranks' worth of universe
-      // without holding any of it).
+      // Pure regeneration: the digest samples millions of ranks' worth
+      // of universe without holding any of it.
       sample += universe.generate_site(rank).url;
     }
     sample += '\n';
@@ -142,9 +234,7 @@ json::Value config_fingerprint(const StudyConfig& config,
   fp.set("faults", config.faults.signature());
   fp.set("site_deadline_ms", static_cast<std::int64_t>(config.site_deadline));
   // The histogram budget changes serialized report bytes, so resuming a
-  // journal under a different budget would mix sketch resolutions;
-  // `stream` is deliberately absent — streaming and materialized runs
-  // produce identical bytes, so either may resume the other's journal.
+  // journal under a different budget would mix sketch resolutions.
   fp.set("hist_budget", static_cast<std::int64_t>(config.hist_budget));
   fp.set("universe_crc", static_cast<std::int64_t>(universe_crc));
   return json::Value{std::move(fp)};
@@ -160,18 +250,11 @@ struct RecoveredCampaign {
   std::uint64_t sites = 0;
 };
 
-/// Rank span one campaign crawls, for validating journaled chunks.
-struct CampaignSpan {
-  std::size_t first_rank = 0;
-  std::size_t count = 0;
-};
-
-bool known_report_name(const std::string& campaign, const std::string& name) {
-  if (campaign == "alexa") {
-    return name == "exact" || name == "endless" || name == "overlap";
+bool known_report_name(const CampaignSpec& spec, const std::string& name) {
+  for (const ReportSpec& report : spec.reports) {
+    if (name == report.name) return true;
   }
-  if (campaign == "nofetch") return name == "exact";
-  return name == "endless" || name == "immediate" || name == "overlap";
+  return false;
 }
 
 }  // namespace
@@ -199,7 +282,6 @@ StudyConfig StudyConfig::from_env() {
       static_cast<util::SimTime>(util::env_u64("H2R_SITE_DEADLINE_MS", 0, 1));
   config.journal_path = util::env_string("H2R_JOURNAL");
   config.resume = util::env_flag("H2R_RESUME");
-  config.stream = util::env_flag("H2R_STREAM");
   config.hist_budget = static_cast<std::uint32_t>(std::min<std::uint64_t>(
       util::env_u64("H2R_HIST_BUDGET", config.hist_budget, 1),
       0xFFFFFFFFull));
@@ -212,13 +294,6 @@ StudyResults run_study(const StudyConfig& config) {
   StudyResults results;
   results.config = config;
 
-  // One metrics slot per campaign; each campaign THREAD writes only its
-  // own slot, merged into results.metrics after the joins (commutative,
-  // so the merged snapshot is campaign-order independent).
-  obs::Metrics alexa_metrics;
-  obs::Metrics nofetch_metrics;
-  obs::Metrics har_metrics;
-
   web::Ecosystem eco{config.seed};
   web::ServiceCatalog catalog{eco, config.seed};
   web::UniverseConfig universe_config = web::UniverseConfig::defaults();
@@ -226,26 +301,24 @@ StudyResults run_study(const StudyConfig& config) {
   universe_config.top_rank = std::max<std::size_t>(config.alexa_sites / 2, 1);
   universe_config.tail_rank =
       std::max<std::size_t>(config.har_first_rank + config.har_sites, 2);
-  web::SiteUniverse universe{eco, catalog, universe_config};
-
-  // Materialize every rank any campaign will touch before the campaigns
-  // (and their workers) run concurrently against the then-immutable
-  // shared cache — except in streaming mode, where workers regenerate
-  // sites on demand through bounded per-worker caches and the shared
-  // cache stays empty (peak memory independent of the site count).
-  if (!config.stream) {
-    universe.materialize(0, config.alexa_sites);
-    if (config.run_har) {
-      universe.materialize(config.har_first_rank, config.har_sites);
-    }
-  }
-
+  const web::SiteUniverse universe{eco, catalog, universe_config};
   const asdb::AsDatabase* as_db = &eco.as_database();
 
+  std::vector<const CampaignSpec*> campaigns;
   std::map<std::string, CampaignSpan> spans;
-  spans["alexa"] = {0, config.alexa_sites};
-  if (config.run_no_fetch) spans["nofetch"] = {0, config.alexa_sites};
-  if (config.run_har) spans["har"] = {config.har_first_rank, config.har_sites};
+  for (const CampaignSpec& spec : campaign_specs()) {
+    if (spec.enabled != nullptr && !(config.*spec.enabled)) continue;
+    campaigns.push_back(&spec);
+    spans[spec.name] =
+        spec.har_path ? CampaignSpan{config.har_first_rank, config.har_sites}
+                      : CampaignSpan{0, config.alexa_sites};
+  }
+  auto spec_named = [&](const std::string& name) -> const CampaignSpec* {
+    for (const CampaignSpec* spec : campaigns) {
+      if (name == spec->name) return spec;
+    }
+    return nullptr;
+  };
 
   // ------------------------------------------- journal recovery / setup
   std::unique_ptr<journal::JournalWriter> writer;
@@ -270,12 +343,12 @@ StudyResults run_study(const StudyConfig& config) {
           throw std::runtime_error("corrupt journal entry: " +
                                    chunk.error().message);
         }
-        const auto span_it = spans.find(chunk->campaign);
-        if (span_it == spans.end()) {
+        const CampaignSpec* spec = spec_named(chunk->campaign);
+        if (spec == nullptr) {
           throw std::runtime_error("journal entry for unknown campaign '" +
                                    chunk->campaign + "'");
         }
-        const CampaignSpan& span = span_it->second;
+        const CampaignSpan& span = spans.at(spec->name);
         RecoveredCampaign& rec = recovered[chunk->campaign];
         if (rec.covered.size() != span.count) {
           rec.covered.assign(span.count, 0);
@@ -298,7 +371,7 @@ StudyResults run_study(const StudyConfig& config) {
           }
         }
         for (const auto& [name, report] : chunk->reports) {
-          if (!known_report_name(chunk->campaign, name)) {
+          if (!known_report_name(*spec, name)) {
             throw std::runtime_error("journal entry with unknown report '" +
                                      name + "' for campaign '" +
                                      chunk->campaign + "'");
@@ -322,442 +395,100 @@ StudyResults run_study(const StudyConfig& config) {
     }
   }
 
-  /// Remaining relative indices for one campaign (everything when the
-  /// journal recovered nothing for it).
-  auto targets_for = [&](const std::string& name) {
-    const CampaignSpan& span = spans.at(name);
-    const auto it = recovered.find(name);
-    const std::vector<char>* covered =
-        it != recovered.end() ? &it->second.covered : nullptr;
-    std::vector<std::size_t> targets;
-    targets.reserve(span.count);
-    for (std::size_t i = 0; i < span.count; ++i) {
-      if (covered == nullptr || (*covered)[i] == 0) targets.push_back(i);
-    }
-    return targets;
+  const OverlapRange overlap{
+      config.har_first_rank,
+      std::min(config.alexa_sites, config.har_first_rank + config.har_sites)};
+
+  // Each campaign aggregates per crawl worker into CHUNK-local windows:
+  // at every work-queue chunk boundary the worker's window is committed
+  // to the journal (when journaling), folded into the campaign's
+  // ReportFold and reset (journal::WindowObserver). AggregateReport::merge
+  // is order-independent, so windowed totals — and recovered plus
+  // freshly crawled chunks — equal a single-pass accumulation, bit for
+  // bit, while per-worker report state stays bounded by one window.
+  struct Outcome {
+    browser::CrawlSummary summary;
+    journal::FoldTotals totals;
+    obs::Metrics metrics;
   };
-
-  // A failed journal append means durability is gone: remember the first
-  // error (workers keep crawling; results stay correct) and rethrow it
-  // after the campaigns join so the run fails loudly.
-  std::mutex journal_error_mutex;  // guards: journal_error
-  std::exception_ptr journal_error;
-  auto journal_chunk = [&](const journal::ChunkCheckpoint& checkpoint) {
-    auto committed = writer->append(journal::to_json(checkpoint));
-    if (!committed) {
-      std::lock_guard<std::mutex> lock(journal_error_mutex);
-      if (journal_error == nullptr) {
-        journal_error = std::make_exception_ptr(std::runtime_error(
-            "journal append failed: " + committed.error().message));
-      }
-    }
-  };
-
-  // Overlap bounds (ranks present in both populations).
-  const std::size_t overlap_begin = config.har_first_rank;
-  const std::size_t overlap_end =
-      std::min(config.alexa_sites,
-               config.har_first_rank + config.har_sites);
-  auto in_overlap = [overlap_begin, overlap_end](std::size_t rank) {
-    return rank >= overlap_begin && rank < overlap_end;
-  };
-
-  // Each campaign aggregates per crawl worker ("shards") and merges the
-  // partial reports afterwards — AggregateReport::merge is
-  // order-independent, so the merged report is identical to a sequential
-  // single-pass accumulation (tests/crawl_parallel_test.cpp pins this).
-  // In WINDOWED mode (journaling and/or streaming) the shard aggregators
-  // become CHUNK-local: at every work-queue chunk boundary the worker
-  // serializes them into a checkpoint window, commits it to the journal
-  // (when journaling), folds it into the campaign's ReportFold and
-  // resets. The same commutativity makes windowed totals — and recovered
-  // + freshly-crawled chunks — merge to the uninterrupted result, bit
-  // for bit, while bounding per-worker report state to one window.
-  const bool windowed = writer != nullptr || config.stream;
-  std::atomic<std::uint64_t> report_windows{0};
-  std::atomic<std::uint64_t> spilled_total{0};
-
-  // Spilling folds only see data through chunk windows; outside windowed
-  // mode they would silently fold nothing and the study would return
-  // empty reports — fail loudly instead.
-  if (!config.spill_dir.empty() && !windowed) {
-    throw std::runtime_error(
-        "spill_dir (H2R_SPILL) requires streaming or journaling mode");
-  }
-
-  // One fold per campaign: resident by default, spilling to
-  // <spill_dir>/h2r-spill-<campaign>.spill when a spill dir is set.
-  auto make_fold =
-      [&](const char* campaign) -> std::unique_ptr<journal::ReportFold> {
-    if (config.spill_dir.empty()) {
-      return std::make_unique<journal::ReportFold>();
-    }
-    auto spilling = journal::ReportFold::spilling(
-        config.spill_dir + "/h2r-spill-" + campaign + ".spill");
-    if (!spilling) {
-      throw std::runtime_error("spill fold (" + std::string(campaign) +
-                               "): " + spilling.error().message);
-    }
-    return std::move(*spilling);
-  };
-
-  // A failed spill write, like a failed journal append, is surfaced
-  // after the campaigns join — workers keep crawling meanwhile.
-  std::mutex spill_error_mutex;  // guards: spill_error
-  std::exception_ptr spill_error;
-  auto fold_window = [&](journal::ReportFold& fold,
-                         const journal::ChunkCheckpoint& checkpoint) {
-    auto folded = fold.fold(checkpoint);
-    if (!folded) {
-      std::lock_guard<std::mutex> lock(spill_error_mutex);
-      if (spill_error == nullptr) {
-        spill_error = std::make_exception_ptr(std::runtime_error(
-            "report spill failed: " + folded.error().message));
-      }
-    }
-  };
-
-  // ---------------------------------------------- Alexa-like crawl (EU)
-  auto alexa_campaign = [&]() {
-    struct Shard {
-      core::Aggregator exact;
-      core::Aggregator endless;
-      core::Aggregator overlap;
-      core::ClassifyContext classify;
-      Shard(const asdb::AsDatabase* db, std::uint32_t budget)
-          : exact(db, budget), endless(db, budget), overlap(db, budget) {}
-    };
-    std::vector<std::unique_ptr<Shard>> shards;
-    std::unique_ptr<journal::ReportFold> fold = make_fold("alexa");
-
+  auto run_campaign = [&](const CampaignSpec& spec, Outcome& out) {
+    const CampaignSpan& span = spans.at(spec.name);
     browser::CrawlOptions crawl;
-    crawl.browser.follow_fetch_credentials = true;
-    crawl.browser.vantage_region = "eu";
+    crawl.browser.follow_fetch_credentials = spec.follow_fetch_credentials;
+    crawl.browser.vantage_region = spec.region;
     crawl.browser.faults = config.faults;
     crawl.browser.site_deadline = config.site_deadline;
-    crawl.vantage_index = 0;  // the university resolver
-    crawl.seed = config.seed + 1;
+    crawl.vantage_index = spec.vantage_index;
+    crawl.seed = config.seed + spec.seed_offset;
     crawl.threads = config.threads;
-    crawl.start_time = util::days(1);
-    crawl.har_path = false;
-    crawl.stream = config.stream;
+    crawl.start_time = spec.start_time;
+    crawl.har_path = spec.har_path;  // export + filtered re-import
 
-    auto make_sink = [&](unsigned worker) -> browser::ShardSink {
-      while (shards.size() <= worker) {
-        shards.push_back(std::make_unique<Shard>(as_db, config.hist_budget));
-      }
-      Shard* shard = shards[worker].get();
-      return [shard, &in_overlap](const browser::SiteResult& site) {
-        if (!site.reachable) return;
-        const auto& obs = site.netlog_observation;
-        // One table build per site, one sweep per duration model; the
-        // endless classification serves the overlap aggregate too (the
-        // classifier is a pure function, so the third sweep the old
-        // per-call API paid for was always identical).
-        shard->classify.prepare(obs);
-        shard->exact.add_site(
-            obs, shard->classify.classify({core::DurationModel::kExact}));
-        const core::SiteClassification endless =
-            shard->classify.classify({core::DurationModel::kEndless});
-        shard->endless.add_site(obs, endless);
-        if (in_overlap(site.rank)) {
-          // The paper's overlap tables use the endless model on both
-          // datasets ("HAR Overlap Endless" / "Alexa Overlap Endless").
-          shard->overlap.add_site(obs, endless);
-        }
-      };
-    };
-
-    browser::ChunkSink chunk_sink;
-    if (windowed) {
-      chunk_sink = [&](const browser::ChunkEvent& event) {
-        Shard* shard = shards[event.worker].get();
-        journal::ChunkCheckpoint checkpoint;
-        checkpoint.campaign = "alexa";
-        checkpoint.ranges = event.ranges;
-        checkpoint.summary = event.summary;
-        checkpoint.reports.emplace_back("exact", shard->exact.report());
-        checkpoint.reports.emplace_back("endless",
-                                        shard->endless.report());
-        checkpoint.reports.emplace_back("overlap",
-                                        shard->overlap.report());
-        if (writer != nullptr) journal_chunk(checkpoint);
-        fold_window(*fold, checkpoint);
-        shard->exact = core::Aggregator(as_db, config.hist_budget);
-        shard->endless = core::Aggregator(as_db, config.hist_budget);
-        shard->overlap = core::Aggregator(as_db, config.hist_budget);
-      };
-    }
-    CampaignObserver observer{make_sink, std::move(chunk_sink),
-                              config.hist_budget};
+    journal::WindowObserver observer{
+        spec.name,
+        [&]() -> std::unique_ptr<journal::WindowShard> {
+          return std::make_unique<CampaignShard>(spec, as_db,
+                                                 config.hist_budget, overlap);
+        },
+        config.hist_budget, config.spill_dir, writer.get()};
     crawl.observer = &observer;
+    // Only the ranks the journal did not recover are crawled.
     std::vector<std::size_t> targets;
-    if (windowed) {
-      crawl.chunked = true;
-      if (writer != nullptr) {
-        targets = targets_for("alexa");
-        crawl.targets = &targets;
+    if (const auto it = recovered.find(spec.name); it != recovered.end()) {
+      for (std::size_t i = 0; i < span.count; ++i) {
+        if (it->second.covered[i] == 0) targets.push_back(i);
       }
+      crawl.targets = &targets;
     }
-    results.alexa_summary =
-        browser::crawl(universe, 0, config.alexa_sites, crawl);
-    if (windowed) {
-      auto totals = fold->finish();
-      if (!totals) {
-        throw std::runtime_error("fold finish (alexa): " +
-                                 totals.error().message);
-      }
-      results.alexa_exact.merge(totals->reports["exact"]);
-      results.alexa_endless.merge(totals->reports["endless"]);
-      results.overlap_alexa_endless.merge(totals->reports["overlap"]);
-      report_windows.fetch_add(totals->windows, std::memory_order_relaxed);
-      spilled_total.fetch_add(totals->spill_bytes, std::memory_order_relaxed);
-    } else {
-      for (const auto& shard : shards) {
-        results.alexa_exact.merge(shard->exact.report());
-        results.alexa_endless.merge(shard->endless.report());
-        results.overlap_alexa_endless.merge(shard->overlap.report());
-      }
-    }
-    alexa_metrics = observer.merged();
+    out.summary =
+        browser::crawl(universe, span.first_rank, span.count, crawl);
+    out.totals = observer.finish();
+    out.metrics = observer.merged_metrics();
   };
 
-  // ------------------------------------- Alexa-like crawl, w/o Fetch
-  auto nofetch_campaign = [&]() {
-    struct Shard {
-      core::Aggregator exact;
-      core::ClassifyContext classify;
-      Shard(const asdb::AsDatabase* db, std::uint32_t budget)
-          : exact(db, budget) {}
-    };
-    std::vector<std::unique_ptr<Shard>> shards;
-    std::unique_ptr<journal::ReportFold> fold = make_fold("nofetch");
-
-    browser::CrawlOptions crawl;
-    crawl.browser.follow_fetch_credentials = false;  // patched Chromium
-    crawl.browser.vantage_region = "eu";
-    crawl.browser.faults = config.faults;
-    crawl.browser.site_deadline = config.site_deadline;
-    crawl.vantage_index = 0;
-    crawl.seed = config.seed + 2;
-    crawl.threads = config.threads;
-    // The paper measured the patched run ~days later; different LB slots.
-    crawl.start_time = util::days(4);
-    crawl.har_path = false;
-    crawl.stream = config.stream;
-
-    auto make_sink = [&](unsigned worker) -> browser::ShardSink {
-      while (shards.size() <= worker) {
-        shards.push_back(std::make_unique<Shard>(as_db, config.hist_budget));
-      }
-      Shard* shard = shards[worker].get();
-      return [shard](const browser::SiteResult& site) {
-        if (!site.reachable) return;
-        const auto& obs = site.netlog_observation;
-        shard->classify.prepare(obs);
-        shard->exact.add_site(
-            obs, shard->classify.classify({core::DurationModel::kExact}));
-      };
-    };
-
-    browser::ChunkSink chunk_sink;
-    if (windowed) {
-      chunk_sink = [&](const browser::ChunkEvent& event) {
-        Shard* shard = shards[event.worker].get();
-        journal::ChunkCheckpoint checkpoint;
-        checkpoint.campaign = "nofetch";
-        checkpoint.ranges = event.ranges;
-        checkpoint.summary = event.summary;
-        checkpoint.reports.emplace_back("exact", shard->exact.report());
-        if (writer != nullptr) journal_chunk(checkpoint);
-        fold_window(*fold, checkpoint);
-        shard->exact = core::Aggregator(as_db, config.hist_budget);
-      };
-    }
-    CampaignObserver observer{make_sink, std::move(chunk_sink),
-                              config.hist_budget};
-    crawl.observer = &observer;
-    std::vector<std::size_t> targets;
-    if (windowed) {
-      crawl.chunked = true;
-      if (writer != nullptr) {
-        targets = targets_for("nofetch");
-        crawl.targets = &targets;
-      }
-    }
-    results.nofetch_summary =
-        browser::crawl(universe, 0, config.alexa_sites, crawl);
-    if (windowed) {
-      auto totals = fold->finish();
-      if (!totals) {
-        throw std::runtime_error("fold finish (nofetch): " +
-                                 totals.error().message);
-      }
-      results.nofetch_exact.merge(totals->reports["exact"]);
-      report_windows.fetch_add(totals->windows, std::memory_order_relaxed);
-      spilled_total.fetch_add(totals->spill_bytes, std::memory_order_relaxed);
-    } else {
-      for (const auto& shard : shards) {
-        results.nofetch_exact.merge(shard->exact.report());
-      }
-    }
-    nofetch_metrics = observer.merged();
-  };
-
-  // --------------------------------- HTTP-Archive-like crawl (US, HAR)
-  auto har_campaign = [&]() {
-    struct Shard {
-      core::Aggregator endless;
-      core::Aggregator immediate;
-      core::Aggregator overlap;
-      core::ClassifyContext classify;
-      std::uint64_t overlap_sites = 0;
-      Shard(const asdb::AsDatabase* db, std::uint32_t budget)
-          : endless(db, budget), immediate(db, budget), overlap(db, budget) {}
-    };
-    std::vector<std::unique_ptr<Shard>> shards;
-    std::unique_ptr<journal::ReportFold> fold = make_fold("har");
-
-    browser::CrawlOptions crawl;
-    crawl.browser.follow_fetch_credentials = true;
-    crawl.browser.vantage_region = "us";
-    crawl.browser.faults = config.faults;
-    crawl.browser.site_deadline = config.site_deadline;
-    crawl.vantage_index = 12;  // the US vantage point
-    crawl.seed = config.seed + 3;
-    crawl.threads = config.threads;
-    crawl.start_time = util::days(8);
-    crawl.har_path = true;  // export + filtered re-import
-    crawl.stream = config.stream;
-
-    auto make_sink = [&](unsigned worker) -> browser::ShardSink {
-      while (shards.size() <= worker) {
-        shards.push_back(std::make_unique<Shard>(as_db, config.hist_budget));
-      }
-      Shard* shard = shards[worker].get();
-      return [shard, &in_overlap](const browser::SiteResult& site) {
-        if (!site.reachable) return;
-        const auto& obs = site.har_observation;
-        shard->classify.prepare(obs);
-        const core::SiteClassification endless =
-            shard->classify.classify({core::DurationModel::kEndless});
-        shard->endless.add_site(obs, endless);
-        shard->immediate.add_site(
-            obs, shard->classify.classify({core::DurationModel::kImmediate}));
-        if (in_overlap(site.rank)) {
-          ++shard->overlap_sites;
-          shard->overlap.add_site(obs, endless);
-        }
-      };
-    };
-
-    browser::ChunkSink chunk_sink;
-    if (windowed) {
-      chunk_sink = [&](const browser::ChunkEvent& event) {
-        Shard* shard = shards[event.worker].get();
-        journal::ChunkCheckpoint checkpoint;
-        checkpoint.campaign = "har";
-        checkpoint.ranges = event.ranges;
-        checkpoint.summary = event.summary;
-        checkpoint.reports.emplace_back("endless",
-                                        shard->endless.report());
-        checkpoint.reports.emplace_back("immediate",
-                                        shard->immediate.report());
-        checkpoint.reports.emplace_back("overlap",
-                                        shard->overlap.report());
-        checkpoint.overlap_sites = shard->overlap_sites;
-        if (writer != nullptr) journal_chunk(checkpoint);
-        fold_window(*fold, checkpoint);
-        shard->endless = core::Aggregator(as_db, config.hist_budget);
-        shard->immediate = core::Aggregator(as_db, config.hist_budget);
-        shard->overlap = core::Aggregator(as_db, config.hist_budget);
-        shard->overlap_sites = 0;
-      };
-    }
-    CampaignObserver observer{make_sink, std::move(chunk_sink),
-                              config.hist_budget};
-    crawl.observer = &observer;
-    std::vector<std::size_t> targets;
-    if (windowed) {
-      crawl.chunked = true;
-      if (writer != nullptr) {
-        targets = targets_for("har");
-        crawl.targets = &targets;
-      }
-    }
-    results.har_summary = browser::crawl(universe, config.har_first_rank,
-                                         config.har_sites, crawl);
-    if (windowed) {
-      auto totals = fold->finish();
-      if (!totals) {
-        throw std::runtime_error("fold finish (har): " +
-                                 totals.error().message);
-      }
-      results.har_endless.merge(totals->reports["endless"]);
-      results.har_immediate.merge(totals->reports["immediate"]);
-      results.overlap_har_endless.merge(totals->reports["overlap"]);
-      results.overlap_sites += totals->overlap_sites;
-      report_windows.fetch_add(totals->windows, std::memory_order_relaxed);
-      spilled_total.fetch_add(totals->spill_bytes, std::memory_order_relaxed);
-    } else {
-      for (const auto& shard : shards) {
-        results.har_endless.merge(shard->endless.report());
-        results.har_immediate.merge(shard->immediate.report());
-        results.overlap_har_endless.merge(shard->overlap.report());
-        results.overlap_sites += shard->overlap_sites;
-      }
-    }
-    har_metrics = observer.merged();
-  };
-
-  // The campaigns only read the materialized universe (each crawl worker
-  // brings its own browser, resolver and RNGs), so the independent ones
-  // can overlap: the two Alexa crawls and the HAR crawl run concurrently.
-  std::vector<std::unique_ptr<Campaign>> campaigns;
-  campaigns.push_back(std::make_unique<Campaign>(alexa_campaign));
-  if (config.run_no_fetch) {
-    campaigns.push_back(std::make_unique<Campaign>(nofetch_campaign));
-  }
-  if (config.run_har) {
-    campaigns.push_back(std::make_unique<Campaign>(har_campaign));
+  // The campaigns only read the universe (each crawl worker brings its
+  // own browser, resolver and RNGs), so they run concurrently.
+  std::vector<Outcome> outcomes(campaigns.size());
+  std::vector<std::unique_ptr<Campaign>> threads;
+  for (std::size_t i = 0; i < campaigns.size(); ++i) {
+    threads.push_back(std::make_unique<Campaign>(
+        [&, i]() { run_campaign(*campaigns[i], outcomes[i]); }));
   }
   std::exception_ptr first_error;
-  for (const auto& campaign : campaigns) {
+  for (const auto& thread : threads) {
     try {
-      campaign->join();
+      thread->join();
     } catch (...) {
       if (first_error == nullptr) first_error = std::current_exception();
     }
   }
   if (first_error != nullptr) std::rethrow_exception(first_error);
-  if (journal_error != nullptr) std::rethrow_exception(journal_error);
-  if (spill_error != nullptr) std::rethrow_exception(spill_error);
-  results.spill_bytes = spilled_total.load(std::memory_order_relaxed);
 
-  // Fold the journal-recovered shards in. Same commutative merges as the
-  // live shards, so a resumed study lands on the uninterrupted bytes.
-  if (auto it = recovered.find("alexa"); it != recovered.end()) {
+  // Fold each campaign's live totals and its journal-recovered chunks
+  // into the results. Same commutative merges for both, so a resumed
+  // study lands on the uninterrupted bytes; metric merges commute too,
+  // so the snapshot equals a sequential run of the campaigns.
+  std::uint64_t report_windows = 0;
+  for (std::size_t i = 0; i < campaigns.size(); ++i) {
+    const CampaignSpec& spec = *campaigns[i];
+    Outcome& out = outcomes[i];
+    browser::CrawlSummary& summary = results.*spec.summary;
+    summary = std::move(out.summary);
+    for (const ReportSpec& report : spec.reports) {
+      (results.*report.field).merge(out.totals.reports[report.name]);
+    }
+    results.overlap_sites += out.totals.overlap_sites;
+    report_windows += out.totals.windows;
+    results.spill_bytes += out.totals.spill_bytes;
+    results.metrics.merge(out.metrics);
+    const auto it = recovered.find(spec.name);
+    if (it == recovered.end()) continue;
     RecoveredCampaign& rec = it->second;
-    results.alexa_summary.merge(rec.summary);
-    results.alexa_exact.merge(rec.reports["exact"]);
-    results.alexa_endless.merge(rec.reports["endless"]);
-    results.overlap_alexa_endless.merge(rec.reports["overlap"]);
-  }
-  if (auto it = recovered.find("nofetch"); it != recovered.end()) {
-    RecoveredCampaign& rec = it->second;
-    results.nofetch_summary.merge(rec.summary);
-    results.nofetch_exact.merge(rec.reports["exact"]);
-  }
-  if (auto it = recovered.find("har"); it != recovered.end()) {
-    RecoveredCampaign& rec = it->second;
-    results.har_summary.merge(rec.summary);
-    results.har_endless.merge(rec.reports["endless"]);
-    results.har_immediate.merge(rec.reports["immediate"]);
-    results.overlap_har_endless.merge(rec.reports["overlap"]);
+    summary.merge(rec.summary);
+    for (const ReportSpec& report : spec.reports) {
+      (results.*report.field).merge(rec.reports[report.name]);
+    }
     results.overlap_sites += rec.overlap_sites;
-  }
-  for (const auto& [name, rec] : recovered) {
-    (void)name;
     results.resumed_chunks += rec.chunks;
     results.resumed_sites += rec.sites;
   }
@@ -766,11 +497,6 @@ StudyResults run_study(const StudyConfig& config) {
     results.journal_fsyncs = writer->fsync_count();
   }
 
-  // Merge order is irrelevant (commutative), so the snapshot equals the
-  // one a sequential run of the campaigns would produce.
-  results.metrics.merge(alexa_metrics);
-  results.metrics.merge(nofetch_metrics);
-  results.metrics.merge(har_metrics);
   // Journal / resume telemetry depends on chunk scheduling and platform
   // I/O — diagnostic domain only, invisible to the exported snapshot.
   if (writer != nullptr) {
@@ -784,13 +510,11 @@ StudyResults run_study(const StudyConfig& config) {
   if (results.spill_bytes > 0) {
     results.metrics.add_diag("study.spill_bytes", results.spill_bytes);
   }
-  // Windowed-mode telemetry: how many per-worker report windows were
-  // folded, and the process's memory high-water mark. Both depend on
-  // chunk scheduling / the platform — diagnostic domain only.
-  if (const std::uint64_t windows =
-          report_windows.load(std::memory_order_relaxed);
-      windows > 0) {
-    results.metrics.add_diag("study.report_windows", windows);
+  // How many per-worker report windows were folded, and the process's
+  // memory high-water mark. Both depend on chunk scheduling / the
+  // platform — diagnostic domain only.
+  if (report_windows > 0) {
+    results.metrics.add_diag("study.report_windows", report_windows);
   }
   if (const std::uint64_t rss = obs::peak_rss_kib(); rss > 0) {
     results.metrics.add_diag("process.peak_rss_kib", rss);
@@ -809,9 +533,9 @@ const StudyResults& shared_study(const StudyConfig& config) {
   // experiments — and so are the journal knobs, because a journaling
   // bench must actually pay for its fsyncs instead of hitting the cache.
   // The histogram budget changes the serialized aggregates, so it is
-  // keyed too; `stream` is not, because streaming runs are bit-identical.
-  // The spill dir is keyed like the journal knobs (a spilling bench must
-  // pay for its spill I/O), even though its results are bit-identical.
+  // keyed too. The spill dir is keyed like the journal knobs (a spilling
+  // bench must pay for its spill I/O), even though its results are
+  // bit-identical.
   const std::string key = std::to_string(config.har_sites) + "/" +
                           std::to_string(config.alexa_sites) + "/" +
                           std::to_string(config.har_first_rank) + "/" +

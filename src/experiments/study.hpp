@@ -65,15 +65,8 @@ struct StudyConfig {
   /// this config — thread count aside — or run_study throws.
   /// `from_env()` reads H2R_RESUME (any value but "" / "0").
   bool resume = false;
-  /// Streaming mode: skip the up-front materialization of both site
-  /// populations and regenerate sites on demand through bounded
-  /// per-worker caches (CrawlOptions::stream), folding per-chunk report
-  /// windows as they commit (journal::ReportFold). Peak memory becomes
-  /// O(threads * cache + totals) instead of O(sites) — the only mode
-  /// that fits a 1-10M-site universe. Results are BIT-IDENTICAL to a
-  /// materialized run (generation is a pure function of seed and rank),
-  /// which is why `stream` is absent from the journal fingerprint and
-  /// the shared_study cache key. `from_env()` reads H2R_STREAM.
+  /// No effect; every crawl streams. Kept only because the frozen
+  /// benchmark harness `h2bench/` assigns it.
   bool stream = false;
   /// Bin budget for every duration histogram the study aggregates
   /// (reports and metric shards). 0 = exact histograms; N > 0 bounds
@@ -88,10 +81,7 @@ struct StudyConfig {
   /// framed to `<spill_dir>/h2r-spill-<campaign>.spill` as they commit
   /// and only merged back into totals at the end of the crawl, keeping
   /// even the campaign totals off the heap while the crawl runs (the
-  /// last resident per-site-scale state in --stream mode). Requires
-  /// windowed mode (stream and/or journaling) — without chunk windows
-  /// there is nothing to spill, and run_study throws rather than
-  /// silently returning empty reports. Totals are BIT-IDENTICAL to
+  /// last resident per-site-scale state). Totals are BIT-IDENTICAL to
   /// resident folds (merge commutativity + full-fidelity codec;
   /// tests/streaming_crawl_test.cpp pins the study-level equivalence),
   /// so spill_dir is absent from the journal fingerprint and the
@@ -107,7 +97,7 @@ struct StudyConfig {
 
   /// Reads H2R_HAR_SITES / H2R_ALEXA_SITES / H2R_SEED / H2R_THREADS /
   /// H2R_FAULT_* / H2R_SITE_DEADLINE_MS / H2R_JOURNAL / H2R_RESUME /
-  /// H2R_STREAM / H2R_HIST_BUDGET / H2R_METRICS overrides via
+  /// H2R_HIST_BUDGET / H2R_SPILL / H2R_METRICS overrides via
   /// util/env.hpp. Invalid or non-positive values fall back to the
   /// defaults; H2R_THREADS is clamped to the machine's hardware
   /// concurrency.

@@ -126,7 +126,8 @@ json::Value to_json(const ChunkCheckpoint& chunk) {
   object.set("summary", to_json(chunk.summary));
   json::Object reports;
   for (const auto& [name, report] : chunk.reports) {
-    reports.set(name, core::to_json_full(report));
+    reports.set(name, core::report_to_json(
+                              report, {core::Fidelity::kFull, core::kAllRows}));
   }
   object.set("reports", json::Value{std::move(reports)});
   if (!chunk.tallies.empty()) {

@@ -9,7 +9,7 @@
 // bit-for-bit.
 //
 // Serialization is strict both ways: to_json emits full-fidelity reports
-// (no top-N truncation — see core::to_json_full), and chunk_from_json
+// (no top-N truncation — core::Fidelity::kFull), and chunk_from_json
 // rejects structurally invalid documents rather than guessing.
 #pragma once
 

@@ -1,17 +1,13 @@
-// The one observation interface the crawl carries.
-//
-// PRs 1-3 each threaded a new callback parameter through the crawl entry
-// points: PR 1 added ShardSink factories, PR 2 the fault ledger, PR 3
-// ChunkSink for journaling — three signatures, three lifetime contracts.
-// This interface replaces them all: CrawlOptions carries one Observer*,
-// and every observation channel (per-site results with their NetLog,
-// chunk checkpoints, metric shards) flows through it.
+// The one observation interface the crawl carries: CrawlOptions holds
+// one Observer*, and every observation channel (per-site results with
+// their NetLog, chunk checkpoints, metric shards) flows through it.
 //
 // Threading contract, designed around the deterministic-merge rule:
 //   * begin() and metrics() run on the coordinating thread before any
 //     worker starts — allocate per-worker state there.
-//   * site() and chunk() run on the worker's own thread, only ever with
-//     that worker's index; two calls with the same index never race.
+//   * site() and chunk() run on the worker's thread (worker 0 runs on
+//     the coordinating thread itself), only ever with that worker's
+//     index; two calls with the same index never race.
 //   * Nothing is called after the crawl returns; the observer may then
 //     be read without synchronization.
 #pragma once
@@ -29,8 +25,8 @@ class Observer {
  public:
   virtual ~Observer();
 
-  /// The crawl is about to start `workers` worker loops (1 for the
-  /// sequential path). Coordinating thread.
+  /// The crawl is about to start `workers` worker loops. Coordinating
+  /// thread.
   virtual void begin(unsigned workers) { (void)workers; }
 
   /// Metrics shard for `worker`, or nullptr to skip recording for it.
@@ -42,15 +38,16 @@ class Observer {
   }
 
   /// One site finished (reachable or not), in claim order on the
-  /// worker's thread. The result is the observer's to consume — it may
-  /// move pieces out; the crawl discards it afterwards.
+  /// worker's thread — ascending rank order when there is one worker.
+  /// The result is the observer's to consume — it may move pieces out;
+  /// the crawl discards it afterwards.
   virtual void site(unsigned worker, browser::SiteResult& result) {
     (void)worker;
     (void)result;
   }
 
-  /// One work-queue chunk drained (chunked crawls only), on the worker's
-  /// thread.
+  /// One work-queue chunk drained, on the worker's thread, after every
+  /// site() of that chunk.
   virtual void chunk(const browser::ChunkEvent& event) { (void)event; }
 };
 

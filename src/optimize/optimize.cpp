@@ -2,17 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <exception>
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "core/classify.hpp"
 #include "journal/checkpoint.hpp"
-#include "journal/spill.hpp"
+#include "journal/window.hpp"
 #include "util/env.hpp"
 #include "web/catalog.hpp"
 #include "web/ecosystem.hpp"
@@ -22,46 +18,57 @@ namespace h2r::optimize {
 
 namespace {
 
-/// Observer bridging per-worker sinks + chunk windows onto the crawl,
-/// same shape as the study's CampaignObserver.
-class SweepObserver final : public obs::Observer {
+/// One crawl worker's window: the baseline aggregate plus one tally per
+/// policy point. One prepare() per site, one columnar sweep per point.
+class SweepShard final : public journal::WindowShard {
  public:
-  using MakeSink = std::function<browser::ShardSink(unsigned)>;
+  SweepShard(const asdb::AsDatabase* as_db, std::uint32_t hist_budget,
+             const core::Policy& base, const std::vector<std::uint8_t>& points,
+             const std::vector<std::string>& labels)
+      : as_db_(as_db),
+        hist_budget_(hist_budget),
+        base_(base),
+        points_(&points),
+        labels_(&labels),
+        baseline_agg_(as_db, hist_budget),
+        tallies_(points.size()) {}
 
-  SweepObserver(MakeSink make_sink, browser::ChunkSink chunk_sink,
-                std::uint32_t hist_budget)
-      : make_sink_(std::move(make_sink)),
-        chunk_sink_(std::move(chunk_sink)) {
-    registry_.set_histogram_budget(hist_budget);
-  }
-
-  void begin(unsigned workers) override {
-    for (unsigned t = static_cast<unsigned>(sinks_.size()); t < workers;
-         ++t) {
-      sinks_.push_back(make_sink_(t));
-      (void)registry_.shard(t);  // materialize before the workers start
+  void add(const browser::SiteResult& site) override {
+    if (!site.reachable) return;
+    const auto& obs = site.netlog_observation;
+    classify_.prepare(obs);
+    const core::SiteClassification baseline = classify_.classify(base_);
+    baseline_agg_.add_site(obs, baseline);
+    for (std::size_t p = 0; p < points_->size(); ++p) {
+      const std::uint8_t mask = (*points_)[p];
+      if (mask == 0) {
+        tallies_[p].add_site(baseline, baseline);
+      } else {
+        tallies_[p].add_site(
+            baseline,
+            classify_.classify(core::Policy::with_mask(mask, base_)));
+      }
     }
   }
 
-  obs::Metrics* metrics(unsigned worker) override {
-    return &registry_.shard(worker);
+  void flush(journal::ChunkCheckpoint& checkpoint) override {
+    checkpoint.reports.emplace_back("baseline", baseline_agg_.report());
+    for (std::size_t p = 0; p < points_->size(); ++p) {
+      checkpoint.tallies.emplace_back((*labels_)[p], std::move(tallies_[p]));
+    }
+    baseline_agg_ = core::Aggregator(as_db_, hist_budget_);
+    tallies_.assign(points_->size(), core::PolicyTally{});
   }
-
-  void site(unsigned worker, browser::SiteResult& result) override {
-    sinks_[worker](result);
-  }
-
-  void chunk(const browser::ChunkEvent& event) override {
-    if (chunk_sink_) chunk_sink_(event);
-  }
-
-  obs::Metrics merged() const { return registry_.merged(); }
 
  private:
-  MakeSink make_sink_;
-  browser::ChunkSink chunk_sink_;
-  std::vector<browser::ShardSink> sinks_;
-  obs::MetricRegistry registry_;
+  const asdb::AsDatabase* as_db_;
+  std::uint32_t hist_budget_;
+  core::Policy base_;
+  const std::vector<std::uint8_t>* points_;
+  const std::vector<std::string>* labels_;
+  core::Aggregator baseline_agg_;
+  std::vector<core::PolicyTally> tallies_;  // parallel to points_
+  core::ClassifyContext classify_;
 };
 
 /// Every subset of the enabled knobs, mask-ascending (baseline first).
@@ -95,7 +102,6 @@ OptimizeConfig OptimizeConfig::from_env() {
       std::max(1u, static_cast<unsigned>(
                        util::env_u64("H2R_THREADS", config.threads, 1))),
       hardware);
-  config.stream = util::env_flag("H2R_STREAM");
   config.spill_dir = util::env_string("H2R_SPILL");
   config.hist_budget = static_cast<std::uint32_t>(std::min<std::uint64_t>(
       util::env_u64("H2R_HIST_BUDGET", config.hist_budget, 1),
@@ -127,43 +133,8 @@ OptimizeResults run_optimize(const OptimizeConfig& config) {
   universe_config.seed = config.seed;
   universe_config.top_rank = std::max<std::size_t>(config.sites / 2, 1);
   universe_config.tail_rank = std::max<std::size_t>(config.sites, 2);
-  web::SiteUniverse universe{eco, catalog, universe_config};
-  if (!config.stream) universe.materialize(0, config.sites);
-
+  const web::SiteUniverse universe{eco, catalog, universe_config};
   const asdb::AsDatabase* as_db = &eco.as_database();
-
-  // Windowed mode: per-chunk tally windows fold through ReportFold, the
-  // same streaming spine the study uses — per-worker state stays O(one
-  // window) no matter how many sites the universe has.
-  const bool windowed = config.stream;
-  if (!config.spill_dir.empty() && !windowed) {
-    throw std::runtime_error(
-        "spill_dir (H2R_SPILL) requires streaming mode");
-  }
-  std::unique_ptr<journal::ReportFold> fold;
-  if (config.spill_dir.empty()) {
-    fold = std::make_unique<journal::ReportFold>();
-  } else {
-    auto spilling = journal::ReportFold::spilling(config.spill_dir +
-                                                  "/h2r-spill-optimize.spill");
-    if (!spilling) {
-      throw std::runtime_error("spill fold (optimize): " +
-                               spilling.error().message);
-    }
-    fold = std::move(*spilling);
-  }
-  std::mutex fold_error_mutex;  // guards: fold_error
-  std::exception_ptr fold_error;
-
-  struct Shard {
-    core::Aggregator baseline_agg;
-    std::vector<core::PolicyTally> tallies;  // parallel to `points`
-    core::ClassifyContext classify;
-    Shard(const asdb::AsDatabase* db, std::uint32_t budget,
-          std::size_t point_count)
-        : baseline_agg(db, budget), tallies(point_count) {}
-  };
-  std::vector<std::unique_ptr<Shard>> shards;
 
   // Crawl options identical to the study's Alexa campaign: the optimizer
   // replays the SAME universe crawl the study measures.
@@ -176,90 +147,29 @@ OptimizeResults run_optimize(const OptimizeConfig& config) {
   crawl.threads = config.threads;
   crawl.start_time = util::days(1);
   crawl.har_path = false;
-  crawl.stream = config.stream;
 
-  auto make_sink = [&](unsigned worker) -> browser::ShardSink {
-    while (shards.size() <= worker) {
-      shards.push_back(std::make_unique<Shard>(as_db, config.hist_budget,
-                                               points.size()));
-    }
-    Shard* shard = shards[worker].get();
-    return [shard, &points, &config](const browser::SiteResult& site) {
-      if (!site.reachable) return;
-      const auto& obs = site.netlog_observation;
-      // One prepare() per site, one columnar sweep per policy point.
-      shard->classify.prepare(obs);
-      const core::SiteClassification baseline =
-          shard->classify.classify(config.base);
-      shard->baseline_agg.add_site(obs, baseline);
-      for (std::size_t p = 0; p < points.size(); ++p) {
-        if (points[p] == 0) {
-          shard->tallies[p].add_site(baseline, baseline);
-        } else {
-          shard->tallies[p].add_site(
-              baseline, shard->classify.classify(core::Policy::with_mask(
-                            points[p], config.base)));
-        }
-      }
-    };
-  };
-
-  browser::ChunkSink chunk_sink;
-  if (windowed) {
-    chunk_sink = [&](const browser::ChunkEvent& event) {
-      Shard* shard = shards[event.worker].get();
-      journal::ChunkCheckpoint checkpoint;
-      checkpoint.campaign = "optimize";
-      checkpoint.ranges = event.ranges;
-      checkpoint.summary = event.summary;
-      checkpoint.reports.emplace_back("baseline",
-                                      shard->baseline_agg.report());
-      for (std::size_t p = 0; p < points.size(); ++p) {
-        checkpoint.tallies.emplace_back(labels[p], shard->tallies[p]);
-      }
-      auto folded = fold->fold(checkpoint);
-      if (!folded) {
-        std::lock_guard<std::mutex> lock(fold_error_mutex);
-        if (fold_error == nullptr) {
-          fold_error = std::make_exception_ptr(std::runtime_error(
-              "tally fold failed: " + folded.error().message));
-        }
-      }
-      shard->baseline_agg = core::Aggregator(as_db, config.hist_budget);
-      shard->tallies.assign(points.size(), core::PolicyTally{});
-    };
-  }
-
-  SweepObserver observer{make_sink, std::move(chunk_sink),
-                         config.hist_budget};
+  // Per-chunk tally windows fold through ReportFold, the same streaming
+  // spine the study uses — per-worker state stays O(one window) no
+  // matter how many sites the universe has.
+  journal::WindowObserver observer{
+      "optimize",
+      [&]() -> std::unique_ptr<journal::WindowShard> {
+        return std::make_unique<SweepShard>(as_db, config.hist_budget,
+                                            config.base, points, labels);
+      },
+      config.hist_budget, config.spill_dir, nullptr};
   crawl.observer = &observer;
-  if (windowed) crawl.chunked = true;
-
   results.summary = browser::crawl(universe, 0, config.sites, crawl);
-  if (fold_error != nullptr) std::rethrow_exception(fold_error);
+  journal::FoldTotals folded = observer.finish();
+  results.metrics = observer.merged_metrics();
+  results.baseline.merge(folded.reports["baseline"]);
+  results.spill_bytes = folded.spill_bytes;
 
   std::vector<core::PolicyTally> totals(points.size());
-  if (windowed) {
-    auto folded = fold->finish();
-    if (!folded) {
-      throw std::runtime_error("fold finish (optimize): " +
-                               folded.error().message);
-    }
-    results.baseline.merge(folded->reports["baseline"]);
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      const auto it = folded->tallies.find(labels[p]);
-      if (it != folded->tallies.end()) totals[p].merge(it->second);
-    }
-    results.spill_bytes = folded->spill_bytes;
-  } else {
-    for (const auto& shard : shards) {
-      results.baseline.merge(shard->baseline_agg.report());
-      for (std::size_t p = 0; p < points.size(); ++p) {
-        totals[p].merge(shard->tallies[p]);
-      }
-    }
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    const auto it = folded.tallies.find(labels[p]);
+    if (it != folded.tallies.end()) totals[p].merge(it->second);
   }
-  results.metrics = observer.merged();
 
   results.ranked.reserve(points.size());
   for (std::size_t p = 0; p < points.size(); ++p) {
@@ -282,8 +192,8 @@ OptimizeResults run_optimize(const OptimizeConfig& config) {
 
 json::Value to_json(const OptimizeResults& results) {
   json::Object root;
-  // `threads` and `stream` are deliberately absent: the document must be
-  // byte-identical across both (CI diffs it).
+  // `threads` is deliberately absent: the document must be
+  // byte-identical across thread counts (CI diffs it).
   json::Object config;
   config.set("sites", static_cast<std::int64_t>(results.config.sites));
   config.set("seed", static_cast<std::int64_t>(results.config.seed));

@@ -10,7 +10,7 @@ constexpr char ascii_lower(char c) noexcept {
   return c >= 'A' && c <= 'Z' ? static_cast<char>(c + ('a' - 'A')) : c;
 }
 
-/// Case-insensitive ASCII equality without materializing lowered copies —
+/// Case-insensitive ASCII equality without building lowered copies —
 /// this predicate runs millions of times per crawl (browser pooling and
 /// the classifier both funnel through it).
 bool iequals(std::string_view a, std::string_view b) noexcept {

@@ -254,7 +254,8 @@ std::string report_bytes(const StudyResults& results) {
        {&results.har_endless, &results.har_immediate, &results.alexa_exact,
         &results.alexa_endless, &results.nofetch_exact,
         &results.overlap_har_endless, &results.overlap_alexa_endless}) {
-    bytes += json::write(core::to_json_full(*report));
+    bytes += json::write(core::report_to_json(
+        *report, {core::Fidelity::kFull, core::kAllRows}));
     bytes += '\n';
   }
   return bytes;

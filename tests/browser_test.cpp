@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "browser/browser.hpp"
 #include "browser/crawl.hpp"
 #include "core/classify.hpp"
 #include "dns/vantage.hpp"
+#include "obs/observer.hpp"
 #include "web/catalog.hpp"
 #include "web/ecosystem.hpp"
 
@@ -471,25 +476,39 @@ TEST(SiteGen, InternalPagesAreDeterministicAndOnSite) {
   }
 }
 
+/// Runs `on_site(worker, result)` for every site a crawl delivers.
+template <typename Fn>
+class SiteObserver final : public obs::Observer {
+ public:
+  explicit SiteObserver(Fn on_site) : on_site_(std::move(on_site)) {}
+  void site(unsigned worker, SiteResult& result) override {
+    on_site_(worker, result);
+  }
+
+ private:
+  Fn on_site_;
+};
+
 TEST(Crawl, VisitsRangeAndAggregates) {
   web::Ecosystem eco{42};
   web::ServiceCatalog catalog{eco, 42};
-  web::SiteUniverse universe{eco, catalog};
+  const web::SiteUniverse universe{eco, catalog};
 
   CrawlOptions options;
   options.har_path = true;
   options.har_quirks = har::ExportQuirks::none();
-  int sites_seen = 0;
-  const CrawlSummary summary = crawl_range(
-      universe, 0, 30, options, [&](const SiteResult& site) {
-        ++sites_seen;
-        if (!site.reachable) return;
-        EXPECT_FALSE(site.netlog_observation.site_url.empty());
-        // With quirks disabled the HAR path sees the same connections
-        // minus request-less preconnects and h1 traffic.
-        EXPECT_LE(site.har_observation.connections.size(),
-                  site.netlog_observation.connections.size());
-      });
+  int sites_seen = 0;  // one worker: no synchronization needed
+  SiteObserver observer{[&](unsigned, const SiteResult& site) {
+    ++sites_seen;
+    if (!site.reachable) return;
+    EXPECT_FALSE(site.netlog_observation.site_url.empty());
+    // With quirks disabled the HAR path sees the same connections
+    // minus request-less preconnects and h1 traffic.
+    EXPECT_LE(site.har_observation.connections.size(),
+              site.netlog_observation.connections.size());
+  }};
+  options.observer = &observer;
+  const CrawlSummary summary = crawl(universe, 0, 30, options);
   EXPECT_EQ(sites_seen, 30);
   EXPECT_EQ(summary.sites_visited + summary.sites_unreachable, 30u);
   EXPECT_GT(summary.connections_opened, 30u);
@@ -499,15 +518,16 @@ TEST(Crawl, ParallelMatchesSequential) {
   auto run = [](unsigned threads) {
     web::Ecosystem eco{42};
     web::ServiceCatalog catalog{eco, 42};
-    web::SiteUniverse universe{eco, catalog};
+    const web::SiteUniverse universe{eco, catalog};
     CrawlOptions options;
     options.threads = threads;
-    std::vector<std::pair<std::size_t, std::size_t>> conns_per_rank;
-    const CrawlSummary summary = crawl_range(
-        universe, 0, 40, options, [&](const SiteResult& site) {
-          conns_per_rank.emplace_back(
-              site.rank, site.netlog_observation.connections.size());
-        });
+    // Each rank writes only its own slot, so workers never share one.
+    std::vector<std::size_t> conns_per_rank(40, 0);
+    SiteObserver observer{[&](unsigned, const SiteResult& site) {
+      conns_per_rank[site.rank] = site.netlog_observation.connections.size();
+    }};
+    options.observer = &observer;
+    const CrawlSummary summary = crawl(universe, 0, 40, options);
     return std::make_pair(summary.connections_opened, conns_per_rank);
   };
   const auto sequential = run(1);
@@ -516,35 +536,41 @@ TEST(Crawl, ParallelMatchesSequential) {
   // crawls are EXACTLY equal to sequential ones — no tolerance. The full
   // bit-identity contract is pinned in crawl_parallel_test.cpp.
   EXPECT_EQ(sequential.first, parallel.first);
-  ASSERT_EQ(sequential.second.size(), parallel.second.size());
-  for (std::size_t i = 0; i < sequential.second.size(); ++i) {
-    EXPECT_EQ(sequential.second[i].first, parallel.second[i].first);
-    EXPECT_EQ(sequential.second[i].second, parallel.second[i].second)
-        << "rank " << sequential.second[i].first;
-  }
+  EXPECT_EQ(sequential.second, parallel.second);
 }
 
 TEST(Crawl, SinkReceivesRankOrderInParallelMode) {
+  // Each worker claims its chunks in ascending order, so every worker's
+  // own delivery is in rank order, and together they cover the range.
   web::Ecosystem eco{42};
   web::ServiceCatalog catalog{eco, 42};
-  web::SiteUniverse universe{eco, catalog};
+  const web::SiteUniverse universe{eco, catalog};
   CrawlOptions options;
   options.threads = 3;
-  std::size_t expected = 5;
-  crawl_range(universe, 5, 20, options, [&](const SiteResult& site) {
-    EXPECT_EQ(site.rank, expected++);
-  });
-  EXPECT_EQ(expected, 25u);
+  std::vector<std::vector<std::size_t>> per_worker(3);
+  SiteObserver observer{[&](unsigned worker, const SiteResult& site) {
+    per_worker[worker].push_back(site.rank);
+  }};
+  options.observer = &observer;
+  crawl(universe, 5, 20, options);
+  std::vector<std::size_t> all;
+  for (const auto& ranks : per_worker) {
+    EXPECT_TRUE(std::is_sorted(ranks.begin(), ranks.end()));
+    all.insert(all.end(), ranks.begin(), ranks.end());
+  }
+  std::sort(all.begin(), all.end());
+  std::vector<std::size_t> expected(20);
+  std::iota(expected.begin(), expected.end(), std::size_t{5});
+  EXPECT_EQ(all, expected);
 }
 
 TEST(Crawl, InvalidVantageThrows) {
   web::Ecosystem eco{42};
   web::ServiceCatalog catalog{eco, 42};
-  web::SiteUniverse universe{eco, catalog};
+  const web::SiteUniverse universe{eco, catalog};
   CrawlOptions options;
   options.vantage_index = 99;
-  EXPECT_THROW(crawl_range(universe, 0, 1, options, [](const SiteResult&) {}),
-               std::out_of_range);
+  EXPECT_THROW(crawl(universe, 0, 1, options), std::out_of_range);
 }
 
 }  // namespace

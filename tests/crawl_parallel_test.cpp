@@ -5,8 +5,10 @@
 // from (seed, site) alone — never from worker identity or load order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "browser/crawl.hpp"
@@ -15,6 +17,7 @@
 #include "core/report.hpp"
 #include "fault/fault.hpp"
 #include "json/json.hpp"
+#include "obs/observer.hpp"
 #include "web/catalog.hpp"
 #include "web/ecosystem.hpp"
 #include "web/sitegen.hpp"
@@ -33,36 +36,57 @@ struct RunOutput {
   core::AggregateReport report;
 };
 
+/// Keeps each site's observations at its rank's slot, so the outputs
+/// read in rank order whichever worker loaded which site.
+class RankObserver final : public obs::Observer {
+ public:
+  explicit RankObserver(std::size_t count) : sites_(count) {}
+
+  void site(unsigned /*worker*/, SiteResult& result) override {
+    Slot& slot = sites_[result.rank];
+    slot.reachable = result.reachable;
+    slot.netlog = std::move(result.netlog_observation);
+    slot.har = std::move(result.har_observation);
+  }
+
+  struct Slot {
+    bool reachable = false;
+    core::SiteObservation netlog;
+    core::SiteObservation har;
+  };
+  const std::vector<Slot>& sites() const { return sites_; }
+
+ private:
+  std::vector<Slot> sites_;
+};
+
 RunOutput run_crawl(unsigned threads, std::uint64_t seed,
                     bool har_path = false,
                     const fault::FaultConfig& faults = {}) {
   web::Ecosystem eco{seed};
   web::ServiceCatalog catalog{eco, seed};
-  web::SiteUniverse universe{eco, catalog};
+  const web::SiteUniverse universe{eco, catalog};
 
   CrawlOptions options;
   options.threads = threads;
   options.seed = seed + 100;
   options.har_path = har_path;
   options.browser.faults = faults;
+  RankObserver observer{kSites};
+  options.observer = &observer;
 
   RunOutput out;
+  out.summary = crawl(universe, 0, kSites, options);
   core::Aggregator aggregator;
-  out.summary = crawl_range(
-      universe, 0, kSites, options, [&](const SiteResult& site) {
-        out.netlog_json.push_back(
-            json::write(core::to_json(site.netlog_observation)));
-        if (har_path) {
-          out.har_json.push_back(
-              json::write(core::to_json(site.har_observation)));
-        }
-        if (site.reachable) {
-          aggregator.add_site(
-              site.netlog_observation,
-              core::classify_site(site.netlog_observation,
-                                  {core::DurationModel::kEndless}));
-        }
-      });
+  for (const RankObserver::Slot& site : observer.sites()) {
+    out.netlog_json.push_back(json::write(core::to_json(site.netlog)));
+    if (har_path) out.har_json.push_back(json::write(core::to_json(site.har)));
+    if (site.reachable) {
+      aggregator.add_site(
+          site.netlog,
+          core::classify_site(site.netlog, {core::DurationModel::kEndless}));
+    }
+  }
   out.report = aggregator.report();
   return out;
 }
@@ -125,48 +149,60 @@ TEST_P(CrawlParallelDifferential, FaultedCrawlIsThreadCountInvariantToo) {
 INSTANTIATE_TEST_SUITE_P(SeedSweep, CrawlParallelDifferential,
                          ::testing::Values(1u, 2u, 3u, 42u, 77u, 1234u));
 
+/// Per-worker endless-model aggregators, merged after the crawl.
+class ShardObserver final : public obs::Observer {
+ public:
+  void begin(unsigned workers) override {
+    while (shards_.size() < workers) {
+      shards_.push_back(std::make_unique<core::Aggregator>());
+    }
+  }
+
+  void site(unsigned worker, SiteResult& site) override {
+    if (!site.reachable) return;
+    shards_[worker]->add_site(
+        site.netlog_observation,
+        core::classify_site(site.netlog_observation,
+                            {core::DurationModel::kEndless}));
+  }
+
+  core::AggregateReport merged() const {
+    core::AggregateReport report;
+    for (const auto& shard : shards_) report.merge(shard->report());
+    return report;
+  }
+
+ private:
+  std::vector<std::unique_ptr<core::Aggregator>> shards_;
+};
+
 TEST(CrawlParallel, ShardedCrawlEqualsOrderedCrawl) {
-  // crawl_range_sharded (per-worker aggregation, merged afterwards) must
-  // reproduce the sequential sink accumulation exactly.
+  // Per-worker aggregation, merged afterwards, must reproduce the
+  // rank-ordered accumulation exactly.
   const std::uint64_t seed = 42;
   const RunOutput sequential = run_crawl(1, seed);
 
   web::Ecosystem eco{seed};
   web::ServiceCatalog catalog{eco, seed};
-  web::SiteUniverse universe{eco, catalog};
+  const web::SiteUniverse universe{eco, catalog};
   CrawlOptions options;
   options.threads = 5;
   options.seed = seed + 100;
+  ShardObserver observer;
+  options.observer = &observer;
 
-  std::vector<std::unique_ptr<core::Aggregator>> shards;
-  const CrawlSummary summary = crawl_range_sharded(
-      universe, 0, kSites, options, [&](unsigned worker) -> ShardSink {
-        while (shards.size() <= worker) {
-          shards.push_back(std::make_unique<core::Aggregator>());
-        }
-        core::Aggregator* shard = shards[worker].get();
-        return [shard](const SiteResult& site) {
-          if (!site.reachable) return;
-          shard->add_site(site.netlog_observation,
-                          core::classify_site(site.netlog_observation,
-                                              {core::DurationModel::kEndless}));
-        };
-      });
-
-  core::AggregateReport merged;
-  for (const auto& shard : shards) merged.merge(shard->report());
+  const CrawlSummary summary = crawl(universe, 0, kSites, options);
   EXPECT_TRUE(summary == sequential.summary);
-  EXPECT_EQ(merged, sequential.report);
+  EXPECT_EQ(observer.merged(), sequential.report);
 }
 
 TEST(CrawlParallel, WorkerCountersAccountForEverySite) {
   web::Ecosystem eco{7};
   web::ServiceCatalog catalog{eco, 7};
-  web::SiteUniverse universe{eco, catalog};
+  const web::SiteUniverse universe{eco, catalog};
   CrawlOptions options;
   options.threads = 3;
-  const CrawlSummary summary =
-      crawl_range(universe, 0, kSites, options, [](const SiteResult&) {});
+  const CrawlSummary summary = crawl(universe, 0, kSites, options);
 
   ASSERT_EQ(summary.per_worker.size(), 3u);
   std::uint64_t loaded = 0;
@@ -184,6 +220,115 @@ TEST(CrawlParallel, WorkerCountersAccountForEverySite) {
   EXPECT_EQ(connections, summary.connections_opened);
   EXPECT_GE(chunks, 1u);
   EXPECT_FALSE(describe_workers(summary).empty());
+}
+
+// ------------------------------------------------- chunk-event contract
+
+/// Records each worker's event stream: the ranks site() delivered since
+/// the worker's last chunk(), and every ChunkEvent with those ranks.
+class ChunkContractObserver final : public obs::Observer {
+ public:
+  struct Chunk {
+    ChunkEvent event;
+    std::vector<std::size_t> sites;  // site() ranks delivered before it
+  };
+  struct WorkerLog {
+    std::vector<std::size_t> pending;  // site() ranks not yet chunked
+    std::vector<std::size_t> sites;    // every site() rank, in order
+    std::vector<Chunk> chunks;
+  };
+
+  void begin(unsigned workers) override { workers_.resize(workers); }
+
+  void site(unsigned worker, SiteResult& result) override {
+    workers_[worker].pending.push_back(result.rank);
+    workers_[worker].sites.push_back(result.rank);
+  }
+
+  void chunk(const ChunkEvent& event) override {
+    WorkerLog& log = workers_[event.worker];
+    log.chunks.push_back(Chunk{event, std::move(log.pending)});
+    log.pending.clear();
+  }
+
+  const std::vector<WorkerLog>& workers() const { return workers_; }
+
+ private:
+  std::vector<WorkerLog> workers_;
+};
+
+std::vector<std::size_t> expand(
+    const std::vector<std::pair<std::size_t, std::size_t>>& ranges) {
+  std::vector<std::size_t> ranks;
+  for (const auto& [first, count] : ranges) {
+    for (std::size_t i = 0; i < count; ++i) ranks.push_back(first + i);
+  }
+  return ranks;
+}
+
+void expect_chunk_contract(unsigned threads,
+                           const std::vector<std::size_t>* targets) {
+  constexpr std::size_t kFirst = 5;
+  SCOPED_TRACE("threads=" + std::to_string(threads) +
+               (targets != nullptr ? " with targets" : " all ranks"));
+  web::Ecosystem eco{42};
+  web::ServiceCatalog catalog{eco, 42};
+  const web::SiteUniverse universe{eco, catalog};
+  CrawlOptions options;
+  options.threads = threads;
+  options.targets = targets;
+  ChunkContractObserver observer;
+  options.observer = &observer;
+  const CrawlSummary summary = crawl(universe, kFirst, kSites, options);
+
+  std::vector<std::size_t> expected;
+  for (std::size_t i = 0; i < kSites; ++i) {
+    if (targets == nullptr ||
+        std::binary_search(targets->begin(), targets->end(), i)) {
+      expected.push_back(kFirst + i);
+    }
+  }
+
+  std::vector<std::size_t> covered;
+  CrawlSummary chunk_total;
+  for (const auto& log : observer.workers()) {
+    // Every site() of a chunk comes before that chunk's chunk() on the
+    // same worker, and no site is left unchunked.
+    EXPECT_TRUE(log.pending.empty());
+    for (const auto& chunk : log.chunks) {
+      const std::vector<std::size_t> ranks = expand(chunk.event.ranges);
+      EXPECT_EQ(chunk.sites, ranks);
+      covered.insert(covered.end(), ranks.begin(), ranks.end());
+      chunk_total.merge(chunk.event.summary);
+    }
+  }
+  // The chunks cover exactly the targeted ranks, none twice.
+  std::sort(covered.begin(), covered.end());
+  EXPECT_EQ(covered, expected);
+  // Chunk counters sum to the crawl's summary.
+  EXPECT_TRUE(chunk_total == summary);
+  EXPECT_GT(summary.sites_visited, 0u);
+
+  if (threads == 1) {
+    // One worker claims its chunks in ascending order: rank order.
+    ASSERT_EQ(observer.workers().size(), 1u);
+    EXPECT_EQ(observer.workers()[0].sites, expected);
+  }
+}
+
+TEST(CrawlParallel, ChunkEventsCoverEveryRankOnce) {
+  for (const unsigned threads : {1u, 2u, 7u}) {
+    expect_chunk_contract(threads, nullptr);
+  }
+}
+
+TEST(CrawlParallel, ChunkEventsHonourTargetsWithHoles) {
+  // Resume-style targets: relative indices with holes, sorted ascending.
+  const std::vector<std::size_t> targets = {0,  1,  2,  5,  6,  7,  8,
+                                            12, 13, 20, 21, 22, 23, 29};
+  for (const unsigned threads : {1u, 2u, 7u}) {
+    expect_chunk_contract(threads, &targets);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 //     uninjected crawl byte for byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "dns/vantage.hpp"
 #include "fault/fault.hpp"
 #include "json/json.hpp"
+#include "obs/observer.hpp"
 #include "test_env_guard.hpp"
 #include "web/catalog.hpp"
 #include "web/ecosystem.hpp"
@@ -252,21 +254,32 @@ struct ChaosOutput {
   std::vector<std::string> netlog_json;
 };
 
+/// Serializes each site's exact observation into its rank's slot.
+class NetlogJsonObserver final : public obs::Observer {
+ public:
+  explicit NetlogJsonObserver(std::vector<std::string>& out) : out_(&out) {}
+  void site(unsigned /*worker*/, browser::SiteResult& site) override {
+    (*out_)[site.rank] = json::write(core::to_json(site.netlog_observation));
+  }
+
+ private:
+  std::vector<std::string>* out_;
+};
+
 ChaosOutput run_chaos_crawl(unsigned threads, std::uint64_t seed,
                             const FaultConfig& faults) {
   web::Ecosystem eco{seed};
   web::ServiceCatalog catalog{eco, seed};
-  web::SiteUniverse universe{eco, catalog};
+  const web::SiteUniverse universe{eco, catalog};
   browser::CrawlOptions options;
   options.threads = threads;
   options.seed = seed + 100;
   options.browser.faults = faults;
   ChaosOutput out;
-  out.summary = browser::crawl_range(
-      universe, 0, kSites, options, [&](const browser::SiteResult& site) {
-        out.netlog_json.push_back(
-            json::write(core::to_json(site.netlog_observation)));
-      });
+  out.netlog_json.resize(kSites);
+  NetlogJsonObserver observer{out.netlog_json};
+  options.observer = &observer;
+  out.summary = browser::crawl(universe, 0, kSites, options);
   return out;
 }
 
@@ -287,7 +300,9 @@ TEST(ChaosCrawl, SweepNeverCrashesAndConservesTheFetchLedger) {
       // Every site is accounted for: reachable or killed, never dropped.
       EXPECT_EQ(out.summary.sites_visited + out.summary.sites_unreachable,
                 kSites);
-      EXPECT_EQ(out.netlog_json.size(), kSites);
+      EXPECT_EQ(std::count(out.netlog_json.begin(), out.netlog_json.end(),
+                           std::string{}),
+                0);  // every rank's slot was delivered
       expect_conserved(out.summary.failures);
       if (rate == 0.0) {
         EXPECT_EQ(out.summary.failures.total_injected(), 0u);

@@ -117,6 +117,10 @@ struct FilterCase {
   std::uint64_t ImportStats::*counter;
 };
 
+// Test discovery names each case by its printed value, so print the case
+// name rather than the struct's bytes (pointers).
+void PrintTo(const FilterCase& c, std::ostream* os) { *os << c.name; }
+
 class HarImportFilter : public ::testing::TestWithParam<FilterCase> {};
 
 TEST_P(HarImportFilter, DropsAndCounts) {
@@ -167,10 +171,7 @@ INSTANTIATE_TEST_SUITE_P(
         FilterCase{"h1", [](Entry& e) { e.http_version = "http/1.1"; },
                    &ImportStats::h1_entries},
         FilterCase{"h3", [](Entry& e) { e.http_version = "h3"; },
-                   &ImportStats::h3_entries}),
-    [](const auto& test_info) {
-      return std::string(test_info.param.name);
-    });
+                   &ImportStats::h3_entries}));
 
 TEST(HarImport, InconsistentIpWithinConnectionDropsRequest) {
   Log log;

@@ -3,18 +3,34 @@
 // invariants that must hold regardless of the random draw.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <utility>
 
 #include "browser/crawl.hpp"
 #include "core/classify.hpp"
 #include "core/report.hpp"
 #include "har/export.hpp"
 #include "har/import.hpp"
+#include "obs/observer.hpp"
 #include "web/catalog.hpp"
 #include "web/sitegen.hpp"
 
 namespace h2r {
 namespace {
+
+/// Runs `on_site(result)` for every site a one-worker crawl delivers.
+template <typename Fn>
+class SiteObserver final : public obs::Observer {
+ public:
+  explicit SiteObserver(Fn on_site) : on_site_(std::move(on_site)) {}
+  void site(unsigned /*worker*/, browser::SiteResult& result) override {
+    on_site_(result);
+  }
+
+ private:
+  Fn on_site_;
+};
 
 class CrawlInvariants : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -24,7 +40,7 @@ TEST_P(CrawlInvariants, HoldAcrossSeeds) {
   web::ServiceCatalog catalog{eco, seed};
   web::UniverseConfig config = web::UniverseConfig::defaults();
   config.seed = seed;
-  web::SiteUniverse universe{eco, catalog, config};
+  const web::SiteUniverse universe{eco, catalog, config};
 
   browser::CrawlOptions options;
   options.seed = seed + 1;
@@ -33,8 +49,7 @@ TEST_P(CrawlInvariants, HoldAcrossSeeds) {
   core::Aggregator exact{&eco.as_database()};
   core::Aggregator endless{&eco.as_database()};
 
-  browser::crawl_range(universe, 0, 60, options, [&](const browser::SiteResult&
-                                                         site) {
+  SiteObserver observer{[&](const browser::SiteResult& site) {
     if (!site.reachable) return;
     const core::SiteObservation& obs = site.netlog_observation;
 
@@ -55,9 +70,11 @@ TEST_P(CrawlInvariants, HoldAcrossSeeds) {
       // Every connected endpoint exists in the ecosystem — or in the
       // site's own deployment overlay (generated first-party clusters are
       // self-contained, not published) — and serves h2.
+      // The regenerated site's deployment must outlive `server`.
+      std::shared_ptr<const web::SiteDeployment> deployment;
       const web::Server* server = eco.server_at(conn.endpoint.address);
       if (server == nullptr) {
-        const auto& deployment = universe.site(site.rank).deployment;
+        deployment = universe.generate_site(site.rank).deployment;
         if (deployment != nullptr) {
           server = deployment->server_at(conn.endpoint.address);
         }
@@ -101,7 +118,9 @@ TEST_P(CrawlInvariants, HoldAcrossSeeds) {
 
     exact.add_site(obs, cls_exact);
     endless.add_site(obs, cls_endless);
-  });
+  }};
+  options.observer = &observer;
+  browser::crawl(universe, 0, 60, options);
 
   const core::AggregateReport& report = exact.report();
   EXPECT_LE(report.redundant_sites, report.h2_sites);
@@ -140,15 +159,14 @@ TEST_P(HarRoundTripFidelity, QuirklessHarMatchesNetlogForRequestBearers) {
   web::ServiceCatalog catalog{eco, seed};
   web::UniverseConfig config = web::UniverseConfig::defaults();
   config.seed = seed;
-  web::SiteUniverse universe{eco, catalog, config};
+  const web::SiteUniverse universe{eco, catalog, config};
 
   browser::CrawlOptions options;
   options.seed = seed;
   options.har_path = true;
   options.har_quirks = har::ExportQuirks::none();
 
-  browser::crawl_range(universe, 0, 25, options, [&](const browser::SiteResult&
-                                                         site) {
+  SiteObserver observer{[&](const browser::SiteResult& site) {
     if (!site.reachable) return;
     std::size_t request_bearing = 0;
     for (const auto& conn : site.netlog_observation.connections) {
@@ -167,7 +185,9 @@ TEST_P(HarRoundTripFidelity, QuirklessHarMatchesNetlogForRequestBearers) {
       EXPECT_TRUE(netlog_endpoints.count(conn.endpoint.to_string()) > 0);
       EXPECT_TRUE(conn.has_certificate);
     }
-  });
+  }};
+  options.observer = &observer;
+  browser::crawl(universe, 0, 25, options);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HarRoundTripFidelity,

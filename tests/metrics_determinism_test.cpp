@@ -26,10 +26,10 @@ namespace {
 
 constexpr std::size_t kSites = 30;
 
-Metrics crawl_metrics(unsigned threads, double fault_rate, bool chunked) {
+Metrics crawl_metrics(unsigned threads, double fault_rate, bool targeted) {
   web::Ecosystem eco{42};
   web::ServiceCatalog catalog{eco, 42};
-  web::SiteUniverse universe{eco, catalog};
+  const web::SiteUniverse universe{eco, catalog};
 
   browser::CrawlOptions options;
   options.threads = threads;
@@ -41,9 +41,8 @@ Metrics crawl_metrics(unsigned threads, double fault_rate, bool chunked) {
   MetricsObserver observer;
   options.observer = &observer;
   std::vector<std::size_t> targets;
-  if (chunked) {
+  if (targeted) {
     for (std::size_t i = 0; i < kSites; ++i) targets.push_back(i);
-    options.chunked = true;
     options.targets = &targets;
   }
   browser::crawl(universe, 0, kSites, options);
@@ -70,8 +69,9 @@ TEST(MetricsDeterminism, SnapshotsIdenticalAcrossThreadCounts) {
 }
 
 TEST(MetricsDeterminism, ChunkedModeMatchesPlainCrawl) {
-  // The checkpointed path (chunk-local accounting, uniform worker pool)
-  // must record the same deterministic metrics as the plain crawl.
+  // Every crawl is chunked; one that names its targets explicitly (the
+  // resume path) must record the same deterministic metrics as one that
+  // crawls the whole range.
   const std::string plain = json::write(to_json(crawl_metrics(1, 0.25, false)));
   for (const unsigned threads : {1u, 3u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -97,7 +97,7 @@ TEST(MetricsDeterminism, NoWallClockLeakIntoSnapshotsOrEquality) {
   // test fails if that quarantine springs a leak.
   web::Ecosystem eco{42};
   web::ServiceCatalog catalog{eco, 42};
-  web::SiteUniverse universe{eco, catalog};
+  const web::SiteUniverse universe{eco, catalog};
   browser::CrawlOptions options;
   options.threads = 3;
   options.seed = 4321;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "browser/crawl.hpp"
 #include "json/json.hpp"
@@ -164,19 +165,29 @@ TEST(Trace, BuildsParentChildStructure) {
   EXPECT_EQ(doc["spans"].as_array().size(), 2u);
 }
 
+/// Keeps the page trace of the (single) site a crawl visits.
+class TraceObserver final : public Observer {
+ public:
+  void site(unsigned /*worker*/, browser::SiteResult& site) override {
+    ++sites;
+    trace = std::move(site.page.trace);
+  }
+
+  int sites = 0;
+  Trace trace;
+};
+
 Trace crawl_pinned_trace() {
   web::Ecosystem eco{42};
   web::ServiceCatalog catalog{eco, 42};
-  web::SiteUniverse universe{eco, catalog};
+  const web::SiteUniverse universe{eco, catalog};
   browser::CrawlOptions options;
   options.seed = 1234;
   options.browser.record_trace = true;
-  Trace trace;
-  browser::crawl_range(universe, 0, 1, options,
-                       [&](const browser::SiteResult& site) {
-                         trace = site.page.trace;
-                       });
-  return trace;
+  TraceObserver observer;
+  options.observer = &observer;
+  browser::crawl(universe, 0, 1, options);
+  return observer.trace;
 }
 
 // The golden render of site rank 0 under universe seed 42 / crawl seed
@@ -277,16 +288,14 @@ TEST(TraceGolden, RerunIsBitIdentical) {
 TEST(TraceOffByDefault, StudyPathAllocatesNoSpans) {
   web::Ecosystem eco{42};
   web::ServiceCatalog catalog{eco, 42};
-  web::SiteUniverse universe{eco, catalog};
+  const web::SiteUniverse universe{eco, catalog};
   browser::CrawlOptions options;
   options.seed = 1234;  // record_trace left off
-  bool saw_site = false;
-  browser::crawl_range(universe, 0, 1, options,
-                       [&](const browser::SiteResult& site) {
-                         saw_site = true;
-                         EXPECT_TRUE(site.page.trace.empty());
-                       });
-  EXPECT_TRUE(saw_site);
+  TraceObserver observer;
+  options.observer = &observer;
+  browser::crawl(universe, 0, 1, options);
+  EXPECT_EQ(observer.sites, 1);
+  EXPECT_TRUE(observer.trace.empty());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the counterfactual reuse maximizer (`h2r optimize`, DESIGN
 // §14): the pinned golden ranking, the determinism contract (bit-identical
-// JSON across thread counts and stream/materialized/spilled modes), the
+// JSON across thread counts and resident/spilled folds), the
 // rate-0 fault differential, and the cross-validation that anchors the
 // whole replay design — the ORIGIN-frame policy replay must reproduce a
 // REAL ORIGIN-enabled re-crawl connection-for-connection.
@@ -14,6 +14,7 @@
 #include "core/classify.hpp"
 #include "core/policy.hpp"
 #include "json/json.hpp"
+#include "obs/observer.hpp"
 #include "optimize/optimize.hpp"
 #include "web/catalog.hpp"
 #include "web/sitegen.hpp"
@@ -145,7 +146,7 @@ TEST(OptimizeGolden, RankingOrderIsRecoveredThenCheapest) {
 
 // ------------------------------------------------------------------
 // Determinism contract: the JSON document is bit-identical across
-// thread counts and stream/materialized/spilled modes.
+// thread counts and resident/spilled folds.
 
 optimize::OptimizeConfig determinism_config() {
   optimize::OptimizeConfig config;
@@ -157,26 +158,21 @@ optimize::OptimizeConfig determinism_config() {
 TEST(OptimizeDeterminism, JsonIdenticalAcrossThreadsAndStreaming) {
   std::string reference;
   for (unsigned threads : {1u, 2u, 7u}) {
-    for (bool stream : {false, true}) {
-      optimize::OptimizeConfig config = determinism_config();
-      config.threads = threads;
-      config.stream = stream;
-      const std::string doc =
-          json::write(optimize::to_json(optimize::run_optimize(config)));
-      if (reference.empty()) {
-        reference = doc;
-        ASSERT_FALSE(reference.empty());
-      } else {
-        EXPECT_EQ(doc, reference)
-            << "threads=" << threads << " stream=" << stream;
-      }
+    optimize::OptimizeConfig config = determinism_config();
+    config.threads = threads;
+    const std::string doc =
+        json::write(optimize::to_json(optimize::run_optimize(config)));
+    if (reference.empty()) {
+      reference = doc;
+      ASSERT_FALSE(reference.empty());
+    } else {
+      EXPECT_EQ(doc, reference) << "threads=" << threads;
     }
   }
 }
 
 TEST(OptimizeDeterminism, SpilledFoldMatchesResident) {
-  optimize::OptimizeConfig resident = determinism_config();
-  resident.stream = true;
+  const optimize::OptimizeConfig resident = determinism_config();
   const optimize::OptimizeResults base = optimize::run_optimize(resident);
 
   optimize::OptimizeConfig spilled = resident;
@@ -185,12 +181,6 @@ TEST(OptimizeDeterminism, SpilledFoldMatchesResident) {
   EXPECT_GT(folded.spill_bytes, 0u);
   EXPECT_EQ(json::write(optimize::to_json(folded)),
             json::write(optimize::to_json(base)));
-}
-
-TEST(OptimizeDeterminism, SpillWithoutStreamingThrows) {
-  optimize::OptimizeConfig config = determinism_config();
-  config.spill_dir = ::testing::TempDir();
-  EXPECT_THROW(optimize::run_optimize(config), std::runtime_error);
 }
 
 TEST(OptimizeDeterminism, RateZeroFaultsMatchNoFaults) {
@@ -213,6 +203,29 @@ struct SiteStat {
   std::uint64_t redundant_connections = 0;
 };
 
+/// Classifies each site into its rank's SiteStat slot.
+class SiteStatObserver final : public obs::Observer {
+ public:
+  SiteStatObserver(std::size_t sites, core::Policy policy)
+      : stats(sites), policy_(policy) {}
+
+  void site(unsigned /*worker*/, browser::SiteResult& site) override {
+    SiteStat& stat = stats[site.rank];
+    stat.reachable = site.reachable;
+    if (!site.reachable) return;
+    ctx_.prepare(site.netlog_observation);
+    const core::SiteClassification cls = ctx_.classify(policy_);
+    stat.total_connections = cls.total_connections;
+    stat.redundant_connections = cls.redundant_connections();
+  }
+
+  std::vector<SiteStat> stats;
+
+ private:
+  core::Policy policy_;
+  core::ClassifyContext ctx_;  // one worker: one context
+};
+
 /// Crawls an announce-on universe (every cluster deploys RFC 8336 ORIGIN
 /// frames). With `support_origin_frame` off the browser ignores them
 /// (Chromium behavior) and the per-site stats come from the policy
@@ -227,7 +240,7 @@ std::vector<SiteStat> crawl_origin_universe(std::size_t sites,
   web::UniverseConfig config = web::UniverseConfig::defaults();
   config.seed = kSeed;
   config.announce_origin_frames = true;
-  web::SiteUniverse universe{eco, catalog, config};
+  const web::SiteUniverse universe{eco, catalog, config};
 
   browser::CrawlOptions crawl;
   crawl.browser.follow_fetch_credentials = true;
@@ -235,26 +248,13 @@ std::vector<SiteStat> crawl_origin_universe(std::size_t sites,
   crawl.browser.vantage_region = "eu";
   crawl.seed = kSeed + 1;
 
-  core::ClassifyContext ctx;
-  const core::Policy origin = core::Policy::with_mask(core::kKnobOriginFrame);
-  std::vector<SiteStat> stats;
-  browser::crawl_range(universe, 0, sites, crawl,
-                       [&](const browser::SiteResult& site) {
-                         SiteStat stat;
-                         stat.reachable = site.reachable;
-                         if (site.reachable) {
-                           ctx.prepare(site.netlog_observation);
-                           const core::SiteClassification& cls = ctx.classify(
-                               support_origin_frame
-                                   ? core::Policy{core::DurationModel::kExact}
-                                   : origin);
-                           stat.total_connections = cls.total_connections;
-                           stat.redundant_connections =
-                               cls.redundant_connections();
-                         }
-                         stats.push_back(stat);
-                       });
-  return stats;
+  SiteStatObserver observer{
+      sites, support_origin_frame
+                 ? core::Policy{core::DurationModel::kExact}
+                 : core::Policy::with_mask(core::kKnobOriginFrame)};
+  crawl.observer = &observer;
+  browser::crawl(universe, 0, sites, crawl);
+  return observer.stats;
 }
 
 TEST(OptimizeCrossValidation, OriginReplayMatchesRealRecrawl) {

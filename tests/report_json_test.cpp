@@ -9,6 +9,9 @@
 namespace h2r::core {
 namespace {
 
+/// The lossless journal shape.
+constexpr ReportJsonOptions kFullShape{Fidelity::kFull, kAllRows};
+
 net::IpAddress ip(const char* s) { return net::IpAddress::parse(s).value(); }
 
 ConnectionRecord conn(std::uint64_t id, const char* address,
@@ -44,7 +47,7 @@ TEST(ReportJson, AggregateReportSerializes) {
   Aggregator agg;
   const SiteObservation site = redundant_site();
   agg.add_site(site, classify_site(site, {DurationModel::kEndless}));
-  const json::Value v = to_json(agg.report());
+  const json::Value v = report_to_json(agg.report());
   EXPECT_EQ(v["h2_sites"].as_int(), 1);
   EXPECT_EQ(v["total_connections"].as_int(), 2);
   EXPECT_EQ(v["redundant_connections"].as_int(), 1);
@@ -91,7 +94,7 @@ TEST(ReportJson, HistogramBucketsAccountForAllSites) {
   clean.connections = {conn(1, "10.0.0.9", "a.one", {"a.one"}, 0)};
   agg.add_site(clean, classify_site(clean, {DurationModel::kEndless}));
 
-  const json::Value v = to_json(agg.report());
+  const json::Value v = report_to_json(agg.report());
   std::int64_t sites = 0;
   for (const json::Value& bucket : v["redundant_per_site"].as_array()) {
     sites += bucket["sites"].as_int();
@@ -211,7 +214,7 @@ TEST(ReportJsonFull, RandomizedRoundTripIsExact) {
   util::Rng rng{0xFEEDF00Du};
   for (int iteration = 0; iteration < 50; ++iteration) {
     const AggregateReport report = random_report(rng);
-    const json::Value serialized = to_json_full(report);
+    const json::Value serialized = report_to_json(report, kFullShape);
     const auto round = report_from_json(serialized);
     ASSERT_TRUE(round.has_value()) << round.error().message;
     EXPECT_TRUE(*round == report) << "iteration " << iteration;
@@ -234,12 +237,14 @@ TEST(ReportJsonFull, FullViewIsUntruncated) {
     tally.previous_origins[std::string("p") + std::to_string(i)] = 2;
     report.ip_origins[std::string("o") + std::to_string(i)] = tally;
   }
-  const json::Value summary_view = to_json(report);
-  const json::Value full_view = to_json_full(report);
+  const json::Value summary_view = report_to_json(report);
+  const json::Value full_view = report_to_json(report, kFullShape);
   EXPECT_EQ(summary_view["ip_origins"].as_array().size(), 20u);
   EXPECT_EQ(full_view["ip_origins"].as_object().size(), 40u);
   // And kAllRows lifts the truncation on the summary view as well.
-  EXPECT_EQ(to_json(report, kAllRows)["ip_origins"].as_array().size(), 40u);
+  const json::Value untruncated =
+      report_to_json(report, {Fidelity::kTruncated, kAllRows});
+  EXPECT_EQ(untruncated["ip_origins"].as_array().size(), 40u);
   const auto round = report_from_json(full_view);
   ASSERT_TRUE(round.has_value());
   EXPECT_TRUE(*round == report);
@@ -254,7 +259,7 @@ json::Value full_with(const json::Value& base, const std::string& key,
 
 TEST(ReportJsonFull, RejectsMalformedDocuments) {
   util::Rng rng{0x5151u};
-  const json::Value good = to_json_full(random_report(rng));
+  const json::Value good = report_to_json(random_report(rng), kFullShape);
   ASSERT_TRUE(report_from_json(good).has_value());
 
   // Wrong root type.

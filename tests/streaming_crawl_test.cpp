@@ -1,11 +1,10 @@
 // Differential scale suite for the streaming study engine.
 //
-// The contract under test: a streaming study (lazy per-rank site
-// regeneration through bounded per-worker caches, chunk-windowed report
-// folding) is BIT-IDENTICAL to the materialized study — same report
-// JSON, same metric snapshot — at every thread count and fault rate,
-// survives a mid-campaign crash/resume like the materialized engine, and
-// keeps the process's peak RSS under an externally imposed budget.
+// The contract under test: a study (lazy per-rank site regeneration,
+// chunk-windowed report folding) reproduces committed golden bytes —
+// same report JSON, same metric snapshot — at every thread count and
+// fault rate, survives a mid-campaign crash/resume, and keeps the
+// process's peak RSS under an externally imposed budget.
 //
 // Identity is asserted on serialized bytes, not just operator==: the
 // full-fidelity report codec and the deterministic metric snapshot are
@@ -14,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <numeric>
 #include <sstream>
@@ -55,7 +55,8 @@ std::string report_bytes(const StudyResults& results) {
        {&results.har_endless, &results.har_immediate, &results.alexa_exact,
         &results.alexa_endless, &results.nofetch_exact,
         &results.overlap_har_endless, &results.overlap_alexa_endless}) {
-    bytes += json::write(core::to_json_full(*report));
+    bytes += json::write(core::report_to_json(
+        *report, {core::Fidelity::kFull, core::kAllRows}));
     bytes += '\n';
   }
   bytes += std::to_string(results.overlap_sites);
@@ -70,6 +71,49 @@ std::string metric_bytes(const StudyResults& results) {
   return json::write(obs::to_json(results.metrics), opts);
 }
 
+/// 64-bit FNV-1a: a stable digest to pin serialized bytes in source.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+std::string hex(std::uint64_t value) {
+  char buffer[24];
+  std::snprintf(buffer, sizeof(buffer), "0x%016llx",
+                static_cast<unsigned long long>(value));
+  return buffer;
+}
+
+/// Digests of report_bytes() and metric_bytes() for one study config.
+struct Golden {
+  std::uint64_t reports;
+  std::uint64_t metrics;
+};
+
+// Goldens for small_config(), captured from the study engine that last
+// had a second crawl mode: every site generated up front into a shared
+// cache, one report per worker merged once at the end (no chunk
+// windows). The windowed streaming engine must reproduce those bytes.
+// These change only when what the study MEASURES changes; then rerun
+//   streaming_crawl_test --gtest_filter='StreamingCrawl.*'
+// and copy the "actual" digests from the failure messages.
+constexpr Golden kFaultFreeGolden{0x289bf918d4efd85eull,
+                                  0x1db7c91ce4136514ull};
+constexpr Golden kFaultyGolden{0xadf5200f8eb8cf64ull, 0xe89f5a8f4653caebull};
+constexpr Golden kBudget8Golden{0x3f6b7399f86c2891ull,
+                                0xecf85378880d704dull};
+
+void expect_golden(const StudyResults& results, const Golden& golden) {
+  EXPECT_EQ(hex(fnv1a(report_bytes(results))), hex(golden.reports))
+      << "report bytes";
+  EXPECT_EQ(hex(fnv1a(metric_bytes(results))), hex(golden.metrics))
+      << "metric snapshot bytes";
+}
+
 /// Measurement identity: summaries and full-fidelity report bytes. This
 /// is the part that survives a resume (metrics deliberately cover only
 /// the sites crawled THIS run — see StudyResults::metrics).
@@ -81,48 +125,41 @@ void expect_identical_measurements(const StudyResults& got,
   EXPECT_EQ(report_bytes(got), report_bytes(want));
 }
 
-/// Full identity, metric snapshot included — what uninterrupted streaming
-/// runs owe the materialized baseline.
+/// Full identity, metric snapshot included.
 void expect_identical(const StudyResults& got, const StudyResults& want) {
   expect_identical_measurements(got, want);
   EXPECT_EQ(metric_bytes(got), metric_bytes(want));
 }
 
-/// The tentpole differential: one materialized baseline per fault rate,
-/// then streaming runs across thread counts must reproduce its bytes.
-void streaming_matches_materialized(double fault_rate) {
-  const StudyResults baseline = run_study(small_config(fault_rate));
+/// The tentpole differential: runs across thread counts must reproduce
+/// the committed golden bytes.
+void streaming_matches_golden(StudyConfig config, const Golden& golden) {
   for (const unsigned threads : {1u, 2u, 7u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    StudyConfig config = small_config(fault_rate);
-    config.stream = true;
     config.threads = threads;
-    const StudyResults streamed = run_study(config);
-    expect_identical(streamed, baseline);
+    expect_golden(run_study(config), golden);
   }
 }
 
 TEST(StreamingCrawl, FaultFreeStreamingIsBitIdenticalAcrossThreadCounts) {
-  streaming_matches_materialized(0.0);
+  streaming_matches_golden(small_config(0.0), kFaultFreeGolden);
 }
 
 TEST(StreamingCrawl, FaultyStreamingIsBitIdenticalAcrossThreadCounts) {
-  streaming_matches_materialized(0.25);
+  streaming_matches_golden(small_config(0.25), kFaultyGolden);
 }
 
 TEST(StreamingCrawl, SpillingStudyIsBitIdenticalToResidentStreaming) {
-  // The study-level spill differential: --stream with ReportFold spill
-  // files must reproduce the resident streaming run's bytes exactly —
-  // the spill file is a framed detour, not a different aggregation.
+  // The study-level spill differential: ReportFold spill files must
+  // reproduce the resident run's bytes exactly — the spill file is a
+  // framed detour, not a different aggregation.
   StudyConfig resident_config = small_config(0.0);
-  resident_config.stream = true;
   resident_config.threads = 2;
   const StudyResults resident = run_study(resident_config);
 
   for (const unsigned threads : {1u, 3u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     StudyConfig config = small_config(0.0);
-    config.stream = true;
     config.threads = threads;
     config.spill_dir = ::testing::TempDir();
     const StudyResults spilled = run_study(config);
@@ -132,26 +169,12 @@ TEST(StreamingCrawl, SpillingStudyIsBitIdenticalToResidentStreaming) {
   }
 }
 
-TEST(StreamingCrawl, SpillWithoutWindowedModeIsAHardError) {
-  // A spilling fold outside stream/journal mode would silently fold
-  // nothing and return empty reports — run_study must refuse instead.
-  StudyConfig config = small_config(0.0);
-  config.spill_dir = ::testing::TempDir();
-  EXPECT_THROW(run_study(config), std::runtime_error);
-}
-
 TEST(StreamingCrawl, HistogramBudgetIsModeIndependent) {
-  // A budgeted streaming run must equal a budgeted materialized run —
-  // the sketch coarsens identically on both paths.
-  StudyConfig materialized = small_config(0.0);
-  materialized.hist_budget = 8;
-  const StudyResults baseline = run_study(materialized);
-
-  StudyConfig streamed_config = materialized;
-  streamed_config.stream = true;
-  streamed_config.threads = 2;
-  const StudyResults streamed = run_study(streamed_config);
-  expect_identical(streamed, baseline);
+  // The budgeted sketch coarsens exactly as it did when reports were
+  // merged once per worker instead of once per chunk window.
+  StudyConfig config = small_config(0.0);
+  config.hist_budget = 8;
+  streaming_matches_golden(config, kBudget8Golden);
 }
 
 // ------------------------------------------------- crash/resume parity
@@ -191,16 +214,15 @@ std::size_t offset_after(const std::string& data, std::size_t entries) {
 }
 
 TEST(StreamingCrawl, StreamingStudySurvivesMidCampaignCrashAndResume) {
-  // Same kill-and-resume drill as journal_resume_test, but with the
-  // streaming engine on BOTH sides of the crash: the journaled windows a
-  // streaming run commits must recover into the same bytes a
-  // materialized, uninterrupted run produces.
+  // Same kill-and-resume drill as journal_resume_test: the journaled
+  // windows a run commits must recover into the golden bytes an
+  // uninterrupted run produces.
   const StudyResults clean = run_study(small_config(0.0));
+  expect_golden(clean, kFaultFreeGolden);
 
   const std::string path =
       std::string(::testing::TempDir()) + "/streaming_resume.journal";
   StudyConfig journaled_config = small_config(0.0);
-  journaled_config.stream = true;
   journaled_config.journal_path = path;
   const StudyResults journaled = run_study(journaled_config);
   expect_identical(journaled, clean);
@@ -220,7 +242,6 @@ TEST(StreamingCrawl, StreamingStudySurvivesMidCampaignCrashAndResume) {
   dump(path, data.substr(0, cut));
 
   StudyConfig resume_config = small_config(0.0);
-  resume_config.stream = true;
   resume_config.journal_path = path;
   resume_config.resume = true;
   resume_config.threads = 5;
@@ -228,34 +249,6 @@ TEST(StreamingCrawl, StreamingStudySurvivesMidCampaignCrashAndResume) {
   expect_identical_measurements(resumed, clean);
   EXPECT_EQ(resumed.resumed_chunks, keep);
   EXPECT_GT(resumed.resumed_sites, 0u);
-}
-
-TEST(StreamingCrawl, MaterializedJournalResumesIntoStreamingRun) {
-  // `stream` is absent from the journal fingerprint on purpose: the two
-  // modes produce identical bytes, so a journal written materialized must
-  // resume under the streaming engine (and vice versa).
-  const StudyResults clean = run_study(small_config(0.0));
-
-  const std::string path =
-      std::string(::testing::TempDir()) + "/streaming_crossmode.journal";
-  StudyConfig journaled_config = small_config(0.0);
-  journaled_config.journal_path = path;
-  const StudyResults journaled = run_study(journaled_config);
-  expect_identical(journaled, clean);
-
-  auto contents = journal::read_journal(path);
-  ASSERT_TRUE(contents) << contents.error().message;
-  const std::size_t keep = contents->entries.size() / 2;
-  const std::string data = slurp(path);
-  dump(path, data.substr(0, offset_after(data, keep)));
-
-  StudyConfig resume_config = small_config(0.0);
-  resume_config.stream = true;  // journal was written materialized
-  resume_config.journal_path = path;
-  resume_config.resume = true;
-  const StudyResults resumed = run_study(resume_config);
-  expect_identical_measurements(resumed, clean);
-  EXPECT_EQ(resumed.resumed_chunks, keep);
 }
 
 // ------------------------------------------------ ReportFold spill path
@@ -403,7 +396,6 @@ TEST(StreamingScale, PeakRssStaysWithinBudget) {
   config.run_no_fetch = false;
   config.seed = 42;
   config.threads = 4;
-  config.stream = true;
   config.hist_budget = 64;
   const StudyResults results = run_study(config);
   EXPECT_EQ(results.alexa_summary.sites_visited +

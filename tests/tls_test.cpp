@@ -12,6 +12,13 @@ struct MatchCase {
   bool expected;
 };
 
+// Test discovery names each case by its printed value, so print the
+// strings rather than the struct's bytes (pointers and padding).
+void PrintTo(const MatchCase& c, std::ostream* os) {
+  *os << '"' << c.pattern << (c.expected ? "\" matches \"" : "\" rejects \"")
+      << c.host << '"';
+}
+
 class DnsNameMatch : public ::testing::TestWithParam<MatchCase> {};
 
 TEST_P(DnsNameMatch, MatchesPerRfc6125) {

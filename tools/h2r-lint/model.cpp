@@ -376,7 +376,7 @@ void index_function_body(FunctionDef& fn) {
 }
 
 /// The statement-level scanner: walks the blanked code of every line,
-/// tracking brace depth and a scope stack, and materializes the file's
+/// tracking brace depth and a scope stack, and records the file's
 /// structs, functions, tables and mutexes.
 class FileParser {
  public:

@@ -23,8 +23,10 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "browser/crawl.hpp"
@@ -37,6 +39,7 @@
 #include "journal/checkpoint.hpp"
 #include "har/import.hpp"
 #include "obs/metrics.hpp"
+#include "obs/observer.hpp"
 #include "optimize/optimize.hpp"
 #include "pool/pool.hpp"
 #include "pool/replay.hpp"
@@ -73,10 +76,10 @@ int usage() {
                "--resume) / H2R_SITE_DEADLINE_MS\n"
                "metrics:     H2R_METRICS (or --metrics) — write the "
                "deterministic metric snapshot as JSON\n"
-               "scale:       H2R_STREAM (or --stream) — bounded-memory "
-               "streaming crawl, bit-identical results\n"
+               "scale:       every crawl streams sites in bounded memory; "
+               "--stream is accepted as a no-op\n"
                "             H2R_SPILL (or --spill) — spill report windows "
-               "to <dir> and merge at the end (needs --stream/--journal)\n"
+               "to <dir> and merge at the end\n"
                "             H2R_HIST_BUDGET (or --hist-budget) — cap every "
                "duration histogram at <n> bins\n"
                "optimize:    H2R_POLICY_DURATION (endless|immediate|exact) / "
@@ -144,15 +147,17 @@ int cmd_audit(const char* path, bool as_json) {
 /// crash-recovery job diffs.
 json::Value study_to_json(const experiments::StudyResults& r) {
   json::Object root;
+  const core::ReportJsonOptions full{core::Fidelity::kFull, core::kAllRows};
   json::Object reports;
-  reports.set("har_endless", core::to_json_full(r.har_endless));
-  reports.set("har_immediate", core::to_json_full(r.har_immediate));
-  reports.set("alexa_exact", core::to_json_full(r.alexa_exact));
-  reports.set("alexa_endless", core::to_json_full(r.alexa_endless));
-  reports.set("nofetch_exact", core::to_json_full(r.nofetch_exact));
-  reports.set("overlap_har_endless", core::to_json_full(r.overlap_har_endless));
+  reports.set("har_endless", core::report_to_json(r.har_endless, full));
+  reports.set("har_immediate", core::report_to_json(r.har_immediate, full));
+  reports.set("alexa_exact", core::report_to_json(r.alexa_exact, full));
+  reports.set("alexa_endless", core::report_to_json(r.alexa_endless, full));
+  reports.set("nofetch_exact", core::report_to_json(r.nofetch_exact, full));
+  reports.set("overlap_har_endless",
+              core::report_to_json(r.overlap_har_endless, full));
   reports.set("overlap_alexa_endless",
-              core::to_json_full(r.overlap_alexa_endless));
+              core::report_to_json(r.overlap_alexa_endless, full));
   root.set("reports", std::move(reports));
   json::Object summaries;
   summaries.set("har", journal::to_json(r.har_summary));
@@ -176,7 +181,7 @@ int cmd_study(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
       config.metrics_path = argv[++i];
     } else if (std::strcmp(argv[i], "--stream") == 0) {
-      config.stream = true;
+      // Accepted no-op: every crawl streams.
     } else if (std::strcmp(argv[i], "--spill") == 0 && i + 1 < argc) {
       config.spill_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--hist-budget") == 0 && i + 1 < argc) {
@@ -197,10 +202,6 @@ int cmd_study(int argc, char** argv) {
   if (!config.journal_path.empty()) {
     std::printf("journal: %s%s\n", config.journal_path.c_str(),
                 config.resume ? " (resuming)" : "");
-  }
-  if (config.stream) {
-    std::printf("streaming: bounded-memory crawl (results bit-identical to "
-                "materialized mode)\n");
   }
   if (!config.spill_dir.empty()) {
     std::printf("spill: report windows spill to %s\n",
@@ -306,7 +307,7 @@ int cmd_optimize(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_out = argv[++i];
     } else if (std::strcmp(argv[i], "--stream") == 0) {
-      config.stream = true;
+      // Accepted no-op: every crawl streams.
     } else if (std::strcmp(argv[i], "--spill") == 0 && i + 1 < argc) {
       config.spill_dir = argv[++i];
     } else {
@@ -507,18 +508,40 @@ int cmd_dns_overlap(int argc, char** argv) {
   return 0;
 }
 
+/// Keeps each reachable site's exact observation at its rank's slot;
+/// crawl() delivers in claim order, the dataset is written in rank order.
+class SnapshotObserver final : public obs::Observer {
+ public:
+  explicit SnapshotObserver(std::size_t count) : sites_(count) {}
+
+  void site(unsigned /*worker*/, browser::SiteResult& result) override {
+    if (result.reachable) {
+      sites_[result.rank] = std::move(result.netlog_observation);
+    }
+  }
+
+  std::vector<core::SiteObservation> take_reachable() {
+    std::vector<core::SiteObservation> out;
+    for (std::optional<core::SiteObservation>& site : sites_) {
+      if (site) out.push_back(std::move(*site));
+    }
+    return out;
+  }
+
+ private:
+  std::vector<std::optional<core::SiteObservation>> sites_;
+};
+
 int cmd_snapshot(const char* path, std::size_t count) {
   web::Ecosystem eco{42};
   web::ServiceCatalog catalog{eco, 42};
-  web::SiteUniverse universe{eco, catalog};
+  const web::SiteUniverse universe{eco, catalog};
   browser::CrawlOptions options;
-  std::vector<core::SiteObservation> observations;
-  browser::crawl_range(universe, 0, count, options,
-                       [&](const browser::SiteResult& site) {
-                         if (site.reachable) {
-                           observations.push_back(site.netlog_observation);
-                         }
-                       });
+  SnapshotObserver observer{count};
+  options.observer = &observer;
+  browser::crawl(universe, 0, count, options);
+  const std::vector<core::SiteObservation> observations =
+      observer.take_reachable();
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", path);
